@@ -1,4 +1,4 @@
-"""Shared-cache multi-core substrate: set-associative caches, hierarchy,
+"""Shared-cache multi-core substrate: set-associative caches, prefetching,
 TLB/page-fault counters and the machine presets from the paper."""
 
 from repro.cache.cache import AccessResult, SetAssociativeCache
@@ -10,7 +10,6 @@ from repro.cache.config import (
     tiny_cache,
     typical_l1,
 )
-from repro.cache.hierarchy import CacheHierarchy, HierarchyResult
 from repro.cache.prefetch import PrefetchingCache, PrefetchStats
 from repro.cache.replacement import (
     LRUPolicy,
@@ -31,8 +30,6 @@ __all__ = [
     "p4xeon_l2",
     "tiny_cache",
     "typical_l1",
-    "CacheHierarchy",
-    "HierarchyResult",
     "PrefetchingCache",
     "PrefetchStats",
     "LRUPolicy",

@@ -5,15 +5,19 @@ process registry, the streaming EWMA footprint estimates, and the
 incremental mapper's partition — in memory. This package makes that
 world survive ``kill -9``:
 
-* :class:`~repro.durable.wal.EventWAL` — an fsynced, torn-tail-tolerant
-  write-ahead log in the style of :class:`repro.jobs.journal.RunJournal`:
-  every scheduling event is durably appended *before* the daemon applies
-  it, so a crash can lose at most an event the client never got an
-  answer for (and will retry).
+* :mod:`~repro.durable.files` — the durable-file layer every on-disk
+  store in the tree shares: canonical JSON, the fsynced torn-tail-safe
+  :class:`~repro.durable.files.LineLog`, atomic publish
+  (write-tmp/fsync/rename) and corrupt-file quarantine. The run
+  journal, the poison quarantine and the result cache build on it too.
+* :class:`~repro.durable.wal.EventWAL` — an LSN-ordered write-ahead
+  log on a :class:`~repro.durable.files.LineLog`: every scheduling
+  event is durably appended *before* the daemon applies it, so a crash
+  can lose at most an event the client never got an answer for (and
+  will retry).
 * :class:`~repro.durable.snapshot.SnapshotStore` — periodic checksummed
-  snapshots of the full service state, written atomically
-  (write-tmp/fsync/rename, the :class:`repro.jobs.cache.ResultCache`
-  protocol) with corrupt snapshots quarantined, never trusted.
+  snapshots of the full service state, published atomically, with
+  corrupt snapshots quarantined, never trusted.
 * :mod:`~repro.durable.state` — the (de)serialisation of service state
   to a canonical JSON-native form, plus a fingerprint over it; the
   recovery equivalence tests compare fingerprints, not prose.

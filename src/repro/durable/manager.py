@@ -46,17 +46,9 @@ class DurabilityManager:
         Applied events between published snapshots. Smaller values
         bound recovery replay tighter at the cost of more snapshot
         writes; ``1`` snapshots after every event.
-    fsync_every:
-        Forwarded to :class:`~repro.durable.wal.EventWAL`: appends per
-        ``fsync`` (1 = every record).
     """
 
-    def __init__(
-        self,
-        state_dir,
-        snapshot_interval: int = 256,
-        fsync_every: int = 1,
-    ) -> None:
+    def __init__(self, state_dir, snapshot_interval: int = 256) -> None:
         if snapshot_interval < 1:
             raise ConfigurationError(
                 f"snapshot_interval must be >= 1, got {snapshot_interval}"
@@ -67,9 +59,7 @@ class DurabilityManager:
                 f"state_dir {self.state_dir} exists and is not a directory"
             )
         self.snapshot_interval = snapshot_interval
-        self.wal = EventWAL(
-            self.state_dir / "events.wal", fsync_every=fsync_every
-        )
+        self.wal = EventWAL(self.state_dir / "events.wal")
         self.snapshots = SnapshotStore(self.state_dir)
         self.events_since_snapshot = 0
         self.checkpoints = 0
@@ -82,14 +72,11 @@ class DurabilityManager:
         Must be called *before* the event is applied — that ordering is
         the whole crash-consistency argument.
         """
-        fsyncs_before = self.wal.fsyncs
         lsn = self.wal.append(payload)
         tel = telemetry_current()
         if tel is not None and tel.metrics is not None:
             tel.metrics.counter("durable_wal_records_total").inc()
-            delta = self.wal.fsyncs - fsyncs_before
-            if delta:
-                tel.metrics.counter("durable_wal_fsyncs_total").inc(delta)
+            tel.metrics.counter("durable_wal_fsyncs_total").inc()
         return lsn
 
     def note_applied(

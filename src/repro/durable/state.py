@@ -25,8 +25,8 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING, Any, Dict
 
+from repro.durable.files import canonical_json
 from repro.errors import ServiceError
-from repro.jobs.keys import canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.service.daemon import SchedulerService

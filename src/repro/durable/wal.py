@@ -1,11 +1,15 @@
 """The event write-ahead log: fsynced, sequence-numbered, torn-tail safe.
 
-One append-only file of newline-framed JSON records::
+One :class:`~repro.durable.files.LineLog` of event records::
 
     {"version": 1, "lsn": 17, "event": {"kind": "admit", ...}}\n
 
-Each record carries a monotonically increasing **log sequence number**
-(LSN). The LSN is what makes this a WAL rather than a plain journal:
+The shared line log supplies the durability: every append is one
+``write`` of a full line, flushed and ``fsync``-ed before
+:meth:`EventWAL.append` returns, so neither ``kill -9`` nor a power
+loss loses an acknowledged record. Each record carries a monotonically
+increasing **log sequence number** (LSN), which is what makes this a
+WAL rather than a plain journal:
 
 * replay is ordered and gap-checked — a record whose LSN does not
   continue the sequence marks the end of trustworthy history, so a
@@ -14,32 +18,29 @@ Each record carries a monotonically increasing **log sequence number**
   after it — an event is applied at most once across any number of
   crash/recover cycles;
 * :meth:`EventWAL.compact` discards records a published snapshot
-  already covers, atomically (write-tmp/fsync/rename), so the log's
-  length is bounded by the snapshot interval rather than by uptime.
-
-Durability policy: every append is a single ``write`` of a full line,
-flushed to the OS before :meth:`EventWAL.append` returns — a ``kill
--9`` therefore never loses an appended record. ``fsync`` (power-loss
-durability) runs every ``fsync_every`` appends (default 1: every
-record, the :class:`repro.jobs.journal.RunJournal` discipline); raising
-it trades a bounded power-loss window for throughput, and the trade is
-recorded in the ``durable_wal_fsyncs_total`` metric.
+  already covers, through the shared atomic publish
+  (:func:`~repro.durable.files.publish_atomic`), so the log's length
+  is bounded by the snapshot interval rather than by uptime.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
-from repro.jobs.keys import canonical_json
+from repro.durable.files import LineLog
 
 __all__ = ["WAL_SCHEMA_VERSION", "EventWAL"]
 
 #: Version of the WAL record schema; bump to orphan old logs.
 WAL_SCHEMA_VERSION = 1
+
+
+def _decode(record: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
+    lsn = record["lsn"]
+    event = record["event"]
+    if not isinstance(lsn, int) or not isinstance(event, dict):
+        raise ValueError("malformed WAL record")
+    return lsn, event
 
 
 class EventWAL:
@@ -50,26 +51,14 @@ class EventWAL:
     path:
         Log file; created (with parents) on the first append. An
         existing directory at this path is rejected immediately.
-    fsync_every:
-        Appends between ``os.fsync`` calls. ``1`` (the default) syncs
-        every record — full power-loss durability; larger values bound
-        the loss window to that many events while keeping kill-crash
-        durability (records are always flushed to the OS).
     """
 
-    def __init__(self, path, fsync_every: int = 1) -> None:
-        self.path = Path(path)
-        if self.path.exists() and self.path.is_dir():
-            raise ConfigurationError(f"WAL path {self.path} is a directory")
-        if fsync_every < 1:
-            raise ConfigurationError(
-                f"fsync_every must be >= 1, got {fsync_every}"
-            )
-        self.fsync_every = fsync_every
+    def __init__(self, path) -> None:
+        self._log = LineLog(path, WAL_SCHEMA_VERSION, "WAL")
+        self.path = self._log.path
         self.records_written = 0
         self.fsyncs = 0
         self.corrupt_lines = 0
-        self._since_fsync = 0
         self._next_lsn: Optional[int] = None  # lazily seeded from the file
 
     # -- write path ----------------------------------------------------
@@ -89,7 +78,7 @@ class EventWAL:
             return
         records = self.replay(0)
         if self.corrupt_lines > 0:
-            self._publish(records)
+            self._log.rewrite({"lsn": n, "event": e} for n, e in records)
         self._next_lsn = (records[-1][0] + 1) if records else 1
 
     @property
@@ -102,63 +91,16 @@ class EventWAL:
     def append(self, event: Dict[str, Any]) -> int:
         """Durably append one event payload; returns its LSN.
 
-        The full line is serialised before the file is touched and
-        written with one ``write`` call, so a crash leaves at worst one
-        torn trailing line — truncated by the next process's first
-        append (see :meth:`_ensure_open`) and skipped by replay.
+        A crash leaves at worst one torn trailing line — truncated by
+        the next process's first append (see :meth:`_ensure_open`) and
+        skipped by replay.
         """
         lsn = self.last_lsn + 1
-        line = (
-            canonical_json(
-                {"version": WAL_SCHEMA_VERSION, "lsn": lsn, "event": event}
-            )
-            + "\n"
-        )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="ascii") as handle:
-            handle.write(line)
-            handle.flush()
-            self._since_fsync += 1
-            if self._since_fsync >= self.fsync_every:
-                os.fsync(handle.fileno())
-                self.fsyncs += 1
-                self._since_fsync = 0
+        self._log.append({"lsn": lsn, "event": event})
+        self.fsyncs += 1
         self.records_written += 1
         self._next_lsn = lsn + 1
         return lsn
-
-    def sync(self) -> None:
-        """Force an ``fsync`` of any records the batch policy deferred."""
-        if self._since_fsync == 0 or not self.path.exists():
-            return
-        with open(self.path, "a", encoding="ascii") as handle:
-            handle.flush()
-            os.fsync(handle.fileno())
-        self.fsyncs += 1
-        self._since_fsync = 0
-
-    def _publish(self, records: List[Tuple[int, Dict[str, Any]]]) -> None:
-        """Atomically rewrite the log to exactly *records*.
-
-        Write-tmp/fsync/``os.replace`` in the log's own directory — a
-        crash mid-rewrite leaves either the old complete file or the
-        new complete file, never a mixture.
-        """
-        text = "".join(
-            canonical_json(
-                {"version": WAL_SCHEMA_VERSION, "lsn": lsn, "event": event}
-            )
-            + "\n"
-            for lsn, event in records
-        )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".compact")
-        with open(tmp, "w", encoding="ascii") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        self._since_fsync = 0
 
     # -- read path -----------------------------------------------------
 
@@ -172,35 +114,15 @@ class EventWAL:
         tail, which clients simply retry.
         """
         self.corrupt_lines = 0
-        try:
-            text = self.path.read_text(encoding="ascii")
-        except FileNotFoundError:
-            return []
-        except (OSError, UnicodeDecodeError):
-            self.corrupt_lines += 1
-            return []
         records: List[Tuple[int, Dict[str, Any]]] = []
         expected: Optional[int] = None
-        for line in text.split("\n"):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if record["version"] != WAL_SCHEMA_VERSION:
-                    raise ValueError("WAL schema mismatch")
-                lsn = record["lsn"]
-                event = record["event"]
-                if not isinstance(lsn, int) or not isinstance(event, dict):
-                    raise ValueError("malformed WAL record")
-            except (ValueError, KeyError, TypeError):
+        for entry in self._log.read(_decode):
+            if entry is None or (expected is not None and entry[0] != expected):
                 self.corrupt_lines += 1
                 break
-            if expected is not None and lsn != expected:
-                self.corrupt_lines += 1
-                break
-            expected = lsn + 1
-            if lsn > after_lsn:
-                records.append((lsn, event))
+            expected = entry[0] + 1
+            if entry[0] > after_lsn:
+                records.append(entry)
         return records
 
     # -- maintenance ---------------------------------------------------
@@ -208,20 +130,19 @@ class EventWAL:
     def compact(self, up_to_lsn: int) -> int:
         """Drop records with LSN <= *up_to_lsn*; returns records kept.
 
-        The survivors are rewritten to a temporary file in the same
-        directory, fsynced, and published with ``os.replace`` — a crash
-        mid-compaction leaves either the old complete log or the new
-        complete log, never a mixture. The newest record is always
-        retained even when the snapshot covers it: it anchors the LSN
-        sequence, so a process reopening a fully-compacted log
-        continues numbering instead of colliding with history.
+        The survivors are published atomically — a crash mid-compaction
+        leaves either the old complete log or the new complete log,
+        never a mixture. The newest record is always retained even when
+        the snapshot covers it: it anchors the LSN sequence, so a
+        process reopening a fully-compacted log continues numbering
+        instead of colliding with history.
         """
         last = self.last_lsn  # seeds the counter (and repairs) first
         intact = self.replay(0)
         survivors = [(lsn, ev) for lsn, ev in intact if lsn > up_to_lsn]
         if not survivors and intact:
             survivors = [intact[-1]]
-        self._publish(survivors)
+        self._log.rewrite({"lsn": n, "event": e} for n, e in survivors)
         self._next_lsn = last + 1  # LSNs keep counting across compactions
         return len(survivors)
 

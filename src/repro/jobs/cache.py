@@ -7,15 +7,17 @@ directories small for large sweeps. Each file is a versioned envelope::
 
 Guarantees:
 
-* **Atomic, durable writes** — results are written to a temporary file
-  in the destination directory, ``fsync``-ed, and published with
-  ``os.replace``, so readers never observe a torn file, a power loss
-  cannot leave a zero-length "committed" entry, and concurrent writers
-  of the same key simply race to install identical bytes.
+* **Atomic, durable writes** — results are installed with the shared
+  :func:`repro.durable.files.publish_atomic` (temporary file in the
+  destination directory, ``fsync``, ``os.replace``), so readers never
+  observe a torn file, a power loss cannot leave a zero-length
+  "committed" entry, and concurrent writers of the same key simply race
+  to install identical bytes.
 * **Corruption tolerance with quarantine** — unreadable, truncated,
   mis-keyed or wrong-version entries are treated as misses (and
   counted), never raised; the offending file is renamed to
-  ``<name>.json.corrupt`` so the evidence survives for post-mortems
+  ``<name>.json.corrupt[.N]`` (:func:`repro.durable.files.quarantine`)
+  so the evidence survives for post-mortems
   while the entry is transparently recomputed. The first quarantine per
   cache instance is logged at warning level, the rest at debug — one
   loud signal, no log spam.
@@ -31,14 +33,12 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.durable.files import canonical_json, publish_atomic, quarantine
 from repro.errors import ConfigurationError
-from repro.jobs.keys import canonical_json
 
 __all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "ResultCache"]
 
@@ -118,32 +118,16 @@ class ResultCache:
         return outcome
 
     def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a corrupt entry aside (``.corrupt`` suffix) and count it.
-
-        The destination name is collision-proof: a key corrupted twice
-        (recomputed after the first quarantine, then corrupted again)
-        lands in ``<name>.corrupt.1``, ``.corrupt.2``, … instead of
-        ``os.replace`` silently overwriting the earlier evidence.
+        """Move a corrupt entry aside (``.corrupt[.N]`` suffix) and count it.
 
         The first quarantine per cache instance logs at warning level so
         the operator sees one loud signal; subsequent ones log at debug.
-        Rename failures (e.g. the file vanished under us) are swallowed —
-        quarantine is best-effort evidence preservation, never an error.
+        A failed rename (the file vanished under us) counts the entry as
+        corrupt but not as quarantined.
         """
         self.stats.corrupt += 1
         level = logging.WARNING if self.stats.quarantined == 0 else logging.DEBUG
-        target = path.with_name(path.name + ".corrupt")
-        counter = 0
-        while target.exists():
-            counter += 1
-            target = path.with_name(f"{path.name}.corrupt.{counter}")
-        try:
-            # Quarantine is best-effort evidence preservation: the entry is
-            # already corrupt, so losing the rename in a crash costs nothing
-            # — the durable fsync-then-replace protocol (RPR201) is only
-            # required on the publish path in put().
-            os.replace(path, target)  # repro: noqa[RPR201]
-        except OSError:
+        if quarantine(path) is None:
             return
         self.stats.quarantined += 1
         logger.log(
@@ -156,35 +140,17 @@ class ResultCache:
     def put(self, key: str, spec: Dict[str, Any], outcome: Dict[str, Any]) -> Path:
         """Atomically store *outcome* (and its spec, for auditing).
 
-        The envelope is staged in a temporary file within the target
-        directory, flushed and ``fsync``-ed, then installed with
-        ``os.replace`` — so a crash mid-write never leaves a partially
-        written entry under the final name, and a power loss immediately
-        after the replace cannot surface a committed-but-empty file.
+        A crash mid-write never leaves a partially written entry under
+        the final name, and a power loss immediately after the publish
+        cannot surface a committed-but-empty file.
         """
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         envelope = {
             "version": CACHE_SCHEMA_VERSION,
             "key": key,
             "spec": spec,
             "outcome": outcome,
         }
-        text = canonical_json(envelope)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{key[:8]}-", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        publish_atomic(path, canonical_json(envelope))
         self.stats.writes += 1
         return path

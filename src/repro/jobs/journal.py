@@ -7,14 +7,15 @@ JSON line *before* its outcome is reported to the caller::
 
     {"version": 1, "key": "<sha256>", "outcome": {...}}\n
 
-Recovery rules (what makes it a WAL rather than a log):
+The file is a :class:`~repro.durable.files.LineLog`, which supplies the
+recovery rules (what makes it a WAL rather than a log):
 
 * every record is written as one ``write()`` of a full line, flushed and
   ``fsync``-ed before :meth:`RunJournal.record` returns — a completed
   spec survives a power loss;
-* :meth:`RunJournal.load` tolerates a torn tail: a final line without a
-  newline terminator, or any line that does not parse as a valid record,
-  is skipped (and counted in :attr:`RunJournal.corrupt_lines`) — an
+* an append after a torn tail starts on a fresh line, and
+  :meth:`RunJournal.load` skips any line that does not parse as a valid
+  record (counting it in :attr:`RunJournal.corrupt_lines`) — an
   interrupted append never poisons the journal;
 * duplicate keys are benign (last record wins) — re-running a batch that
   partially journaled is idempotent.
@@ -26,18 +27,22 @@ specs; the orchestrator consults it before the cache.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
-from repro.errors import ConfigurationError
-from repro.jobs.keys import canonical_json
+from repro.durable.files import LineLog
 
 __all__ = ["JOURNAL_SCHEMA_VERSION", "RunJournal"]
 
 #: Version of the journal line schema; bump to orphan old journals.
 JOURNAL_SCHEMA_VERSION = 1
+
+
+def _decode(record: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
+    key = record["key"]
+    outcome = record["outcome"]
+    if not isinstance(key, str) or not isinstance(outcome, dict):
+        raise ValueError("malformed journal record")
+    return key, outcome
 
 
 class RunJournal:
@@ -51,11 +56,8 @@ class RunJournal:
     """
 
     def __init__(self, path) -> None:
-        self.path = Path(path)
-        if self.path.exists() and self.path.is_dir():
-            raise ConfigurationError(
-                f"journal path {self.path} is a directory"
-            )
+        self._log = LineLog(path, JOURNAL_SCHEMA_VERSION, "journal")
+        self.path = self._log.path
         self.corrupt_lines = 0
         self.records_written = 0
 
@@ -68,68 +70,21 @@ class RunJournal:
         """
         replayed: Dict[str, Dict[str, Any]] = {}
         self.corrupt_lines = 0
-        try:
-            text = self.path.read_text(encoding="ascii")
-        except FileNotFoundError:
-            return replayed
-        except (OSError, UnicodeDecodeError):
-            self.corrupt_lines += 1
-            return replayed
-        for line in text.split("\n"):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if record["version"] != JOURNAL_SCHEMA_VERSION:
-                    raise ValueError("journal schema mismatch")
-                key = record["key"]
-                outcome = record["outcome"]
-                if not isinstance(key, str) or not isinstance(outcome, dict):
-                    raise ValueError("malformed journal record")
-            except (ValueError, KeyError, TypeError):
+        for entry in self._log.read(_decode):
+            if entry is None:
                 self.corrupt_lines += 1
-                continue
-            replayed[key] = outcome
+            else:
+                replayed[entry[0]] = entry[1]
         return replayed
 
     def record(self, key: str, outcome: Dict[str, Any]) -> None:
         """Durably append one completed spec (single line, fsynced).
 
-        The line is fully serialised before the file is touched, written
-        with one ``write`` call, flushed and fsynced — so a crash leaves
-        at worst one torn *trailing* line, which :meth:`load` skips. If
-        the file already ends in a torn line (a previous run died
-        mid-append), a newline is prefixed first so the fragment stays
-        isolated instead of corrupting this record too.
+        A crash leaves at worst one torn *trailing* line, which
+        :meth:`load` skips and the next record starts a fresh line after.
         """
-        line = (
-            canonical_json(
-                {
-                    "version": JOURNAL_SCHEMA_VERSION,
-                    "key": key,
-                    "outcome": outcome,
-                }
-            )
-            + "\n"
-        )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self._tail_is_torn():
-            line = "\n" + line
-        with open(self.path, "a", encoding="ascii") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
+        self._log.append({"key": key, "outcome": outcome})
         self.records_written += 1
-
-    def _tail_is_torn(self) -> bool:
-        """True when the journal exists, is non-empty, and lacks a final
-        newline — the signature of an append interrupted mid-write."""
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) != b"\n"
-        except (FileNotFoundError, OSError):
-            return False
 
     def __len__(self) -> int:
         """Number of intact records currently in the journal file."""

@@ -5,7 +5,9 @@ the same simulation serialise to the same canonical JSON document and
 therefore hash to the same SHA-256 key — across processes, machines and
 Python hash-randomisation seeds. The key is what the result cache and the
 batch deduplication are addressed by, which makes the determinism
-guarantee load-bearing:
+guarantee load-bearing. The serialisation is
+:func:`repro.durable.files.canonical_json` (re-exported here), the same
+one every durable file in the tree is written with:
 
 * dictionaries are serialised with sorted keys and no whitespace;
 * floats use ``repr``-style shortest round-trip formatting (the CPython
@@ -19,10 +21,9 @@ guarantee load-bearing:
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Any
 
-from repro.errors import JobError
+from repro.durable.files import canonical_json
 
 __all__ = ["SPEC_SCHEMA_VERSION", "canonical_json", "spec_key"]
 
@@ -31,26 +32,6 @@ SPEC_SCHEMA_VERSION = 1
 
 #: Domain-separation prefix folded into every digest.
 _KEY_DOMAIN = b"repro.jobs.spec/v%d\x00" % SPEC_SCHEMA_VERSION
-
-
-def canonical_json(obj: Any) -> str:
-    """Serialise *obj* to its unique canonical JSON text.
-
-    Only JSON-native types (dict/list/str/int/float/bool/None) are
-    accepted; anything else — including NaN and Infinity — raises
-    :class:`~repro.errors.JobError`, because such values have no stable
-    canonical encoding.
-    """
-    try:
-        return json.dumps(
-            obj,
-            sort_keys=True,
-            separators=(",", ":"),
-            ensure_ascii=True,
-            allow_nan=False,
-        )
-    except (TypeError, ValueError) as exc:
-        raise JobError(f"object has no canonical JSON form: {exc}") from exc
 
 
 def spec_key(spec: Any) -> str:

@@ -213,7 +213,6 @@ class SchedulerService:
         *,
         state_dir,
         snapshot_interval: int = 256,
-        fsync_every: int = 1,
         heartbeat_board: Optional[Any] = None,
         heartbeat_slot: Tuple[int, int] = (0, 0),
     ) -> "SchedulerService":
@@ -228,9 +227,7 @@ class SchedulerService:
         service is not started; call :meth:`start` as usual.
         """
         durability = DurabilityManager(
-            state_dir,
-            snapshot_interval=snapshot_interval,
-            fsync_every=fsync_every,
+            state_dir, snapshot_interval=snapshot_interval
         )
         service = cls(
             policy,
@@ -408,8 +405,8 @@ class SchedulerService:
                 self._queue.task_done()
                 return
             event, future = item
-            # Write-ahead ordering requires the WAL append (a small
-            # buffered write, fsync batched by policy) to complete
+            # Write-ahead ordering requires the WAL append (one small
+            # write, fsynced) to complete
             # synchronously before the event is applied; _run is the
             # single consumer task, so the bounded stall is the
             # documented durability/latency trade, not a hazard.

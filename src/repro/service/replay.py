@@ -193,7 +193,6 @@ def run_replay(
     host: str = "127.0.0.1",
     state_dir: Optional[Union[str, Path]] = None,
     snapshot_interval: int = 256,
-    fsync_every: int = 1,
 ) -> ReplayReport:
     """Replay *trace* against a fresh daemon and report what happened.
 
@@ -204,7 +203,7 @@ def run_replay(
     stabilised by the mapper either way.
 
     ``state_dir`` attaches the durability layer: every event is
-    WAL-logged (fsync cadence ``fsync_every``) and state snapshots
+    WAL-logged (fsynced before it is applied) and state snapshots
     every ``snapshot_interval`` events. The dirty directory is left
     behind on purpose — it is what :func:`measure_recovery` and the
     recovery bench feed on.
@@ -218,11 +217,7 @@ def run_replay(
     durability = (
         None
         if state_dir is None
-        else DurabilityManager(
-            state_dir,
-            snapshot_interval=snapshot_interval,
-            fsync_every=fsync_every,
-        )
+        else DurabilityManager(state_dir, snapshot_interval=snapshot_interval)
     )
 
     async def _run() -> Tuple[SchedulerService, List[float], dict, float]:

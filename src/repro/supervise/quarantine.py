@@ -9,8 +9,8 @@ again. The quarantine is the breaker's durable memory: when a key's
 circuit trips, the orchestrator writes it here, and every later run —
 including resume-after-crash — consults the file *before* submitting.
 
-Format mirrors :class:`~repro.jobs.journal.RunJournal` (the same
-durability rules, machine-checked by RPR2xx): one JSON line per key,
+The file is a :class:`~repro.durable.files.LineLog`, like
+:class:`~repro.jobs.journal.RunJournal`'s: one JSON line per key,
 written with a single ``write``, flushed and fsynced before the caller
 proceeds::
 
@@ -27,17 +27,21 @@ final report rather than silently rerun or silently dropped.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.errors import ConfigurationError
+from repro.durable.files import LineLog
 
 __all__ = ["QUARANTINE_SCHEMA_VERSION", "PoisonQuarantine"]
 
 #: Version of the quarantine line schema; bump to orphan old files.
 QUARANTINE_SCHEMA_VERSION = 1
+
+
+def _decode(record: Dict[str, Any]) -> Dict[str, Any]:
+    key = record["key"]
+    if not isinstance(key, str) or not key:
+        raise ValueError("malformed quarantine record")
+    return record
 
 
 class PoisonQuarantine:
@@ -51,38 +55,19 @@ class PoisonQuarantine:
     """
 
     def __init__(self, path) -> None:
-        self.path = Path(path)
-        if self.path.exists() and self.path.is_dir():
-            raise ConfigurationError(
-                f"quarantine path {self.path} is a directory"
-            )
+        self._log = LineLog(path, QUARANTINE_SCHEMA_VERSION, "quarantine")
+        self.path = self._log.path
         self.corrupt_lines = 0
         self._records: Dict[str, Dict[str, Any]] = self._load()
 
     def _load(self) -> Dict[str, Dict[str, Any]]:
         records: Dict[str, Dict[str, Any]] = {}
         self.corrupt_lines = 0
-        try:
-            text = self.path.read_text(encoding="ascii")
-        except FileNotFoundError:
-            return records
-        except (OSError, UnicodeDecodeError):
-            self.corrupt_lines += 1
-            return records
-        for line in text.split("\n"):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if record["version"] != QUARANTINE_SCHEMA_VERSION:
-                    raise ValueError("quarantine schema mismatch")
-                key = record["key"]
-                if not isinstance(key, str) or not key:
-                    raise ValueError("malformed quarantine record")
-            except (ValueError, KeyError, TypeError):
+        for record in self._log.read(_decode):
+            if record is None:
                 self.corrupt_lines += 1
-                continue
-            records[key] = record
+            else:
+                records[record["key"]] = record
         return records
 
     def reload(self) -> None:
@@ -90,40 +75,14 @@ class PoisonQuarantine:
         self._records = self._load()
 
     def add(self, key: str, reason: str, failures: int = 0) -> None:
-        """Durably quarantine *key* (idempotent; fsynced before return)."""
-        record = {
-            "version": QUARANTINE_SCHEMA_VERSION,
-            "key": key,
-            "reason": str(reason),
-            "failures": int(failures),
-        }
-        self._records[key] = record
-        # Canonical one-line JSON (sorted keys, no whitespace) — the same
-        # shape as repro.jobs.keys.canonical_json, inlined so the
-        # supervise package never imports repro.jobs (which imports it).
-        line = (
-            json.dumps(
-                record, sort_keys=True, separators=(",", ":"),
-                allow_nan=False,
-            )
-            + "\n"
-        )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self._tail_is_torn():
-            line = "\n" + line
-        with open(self.path, "a", encoding="ascii") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
+        """Durably quarantine *key* (idempotent; fsynced before return).
 
-    def _tail_is_torn(self) -> bool:
-        """True when the file is non-empty and lacks a final newline."""
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) != b"\n"
-        except (FileNotFoundError, OSError):
-            return False
+        Memory follows the file: the key counts as quarantined only once
+        its line is durable, so this process and a resumed one agree.
+        """
+        record = {"key": key, "reason": str(reason), "failures": int(failures)}
+        self._log.append(record)
+        self._records[key] = {"version": QUARANTINE_SCHEMA_VERSION, **record}
 
     def reason(self, key: str) -> Optional[str]:
         """Why *key* is quarantined (``None`` if it is not)."""

@@ -1,4 +1,4 @@
-"""The event WAL: LSN ordering, torn tails, compaction, fsync policy."""
+"""The event WAL: LSN ordering, torn tails, compaction."""
 
 import pytest
 
@@ -61,6 +61,19 @@ def test_torn_tail_is_truncated_before_the_next_append(tmp_path):
     assert fresh.corrupt_lines == 0
 
 
+def test_a_record_missing_only_its_newline_survives_the_next_append(tmp_path):
+    # The record is complete and was acknowledged; the next line must
+    # start after it, not run into it and garble both.
+    wal = wal_at(tmp_path)
+    for p in range(2):
+        wal.append({"pid": p})
+    wal.path.write_bytes(wal.path.read_bytes()[:-1])
+    assert wal_at(tmp_path).append({"pid": 2}) == 3
+    fresh = wal_at(tmp_path)
+    assert [lsn for lsn, _ in fresh.replay(0)] == [1, 2, 3]
+    assert fresh.corrupt_lines == 0
+
+
 def test_garbled_middle_ends_trustworthy_history(tmp_path):
     wal = wal_at(tmp_path)
     for p in range(4):
@@ -115,17 +128,6 @@ def test_compact_on_an_empty_wal_is_a_noop(tmp_path):
     assert wal.last_lsn == 0
 
 
-def test_fsync_every_batches_syncs(tmp_path):
-    wal = wal_at(tmp_path, fsync_every=3)
-    for p in range(7):
-        wal.append({"pid": p})
-    assert wal.fsyncs == 2  # after records 3 and 6
-    wal.sync()
-    assert wal.fsyncs == 3  # the deferred seventh record
-    wal.sync()
-    assert wal.fsyncs == 3  # nothing pending: no extra fsync
-
-
 def test_len_counts_intact_records(tmp_path):
     wal = wal_at(tmp_path)
     assert len(wal) == 0
@@ -134,8 +136,6 @@ def test_len_counts_intact_records(tmp_path):
 
 
 def test_constructor_validation(tmp_path):
-    with pytest.raises(ConfigurationError):
-        EventWAL(tmp_path / "log", fsync_every=0)
     (tmp_path / "adir").mkdir()
     with pytest.raises(ConfigurationError):
         EventWAL(tmp_path / "adir")

@@ -8,6 +8,8 @@ import json
 
 import pytest
 
+from repro.durable.snapshot import SnapshotStore
+from repro.durable.wal import EventWAL
 from repro.errors import ConfigurationError
 from repro.jobs import CACHE_SCHEMA_VERSION, ResultCache
 
@@ -87,23 +89,42 @@ def test_non_directory_root_rejected_up_front(tmp_path):
         ResultCache(not_a_dir)
 
 
+def _files(root):
+    """Every file under *root* with its bytes."""
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def test_crash_between_write_and_replace_leaves_no_entry(tmp_path, monkeypatch):
     """A crash after the temp write but before the rename commits nothing.
 
     The injected ``os.replace`` failure stands in for a process death at
     the worst moment: the staged bytes exist but were never installed.
-    The final path must not appear, the temp file must be cleaned up, and
-    the next ``get`` must be an ordinary miss — never a corrupt entry.
+    For each atomic publisher — a cache entry, a snapshot, a WAL
+    compaction — the temp file must be cleaned up and every file on
+    disk must be exactly what it was before the attempt.
     """
-    cache = ResultCache(tmp_path)
+    cache = ResultCache(tmp_path / "cache")
+    snapshots = SnapshotStore(tmp_path / "snapshots")
+    snapshots.save({"generation": 1}, last_lsn=1)
+    wal = EventWAL(tmp_path / "wal" / "events.wal")
+    for pid in range(3):
+        wal.append({"pid": pid})
+    publishers = {
+        "cache": lambda: cache.put(KEY, SPEC, OUTCOME),
+        "snapshot": lambda: snapshots.save({"generation": 2}, last_lsn=2),
+        "wal": lambda: wal.compact(2),
+    }
 
     def crash(src, dst):
         raise OSError("injected crash between write and replace")
 
-    monkeypatch.setattr("os.replace", crash)
-    with pytest.raises(OSError, match="injected crash"):
-        cache.put(KEY, SPEC, OUTCOME)
-    monkeypatch.undo()
+    for name, publish in publishers.items():
+        before = _files(tmp_path)
+        monkeypatch.setattr("os.replace", crash)
+        with pytest.raises(OSError, match="injected crash"):
+            publish()
+        monkeypatch.undo()
+        assert _files(tmp_path) == before, name
 
     path = cache.path_for(KEY)
     assert not path.exists()
@@ -111,9 +132,14 @@ def test_crash_between_write_and_replace_leaves_no_entry(tmp_path, monkeypatch):
     assert cache.stats.writes == 0
     assert cache.get(KEY) is None
     assert cache.stats.corrupt == 0  # a non-commit is a miss, not damage
-    # The cache heals on the next successful put.
+    assert snapshots.load() == ({"generation": 1}, 1)
+    assert [lsn for lsn, _ in wal.replay(0)] == [1, 2, 3]
+    # Each store heals on its next successful publish.
     cache.put(KEY, SPEC, OUTCOME)
     assert cache.get(KEY) == OUTCOME
+    snapshots.save({"generation": 2}, last_lsn=2)
+    assert snapshots.load() == ({"generation": 2}, 2)
+    assert wal.compact(2) == 1
 
 
 def test_quarantine_preserves_evidence_and_logs_once(tmp_path, caplog):

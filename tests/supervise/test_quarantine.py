@@ -1,10 +1,14 @@
-"""Poison-quarantine durability: roundtrip, torn tails, last-write-wins."""
+"""Poison-quarantine semantics: roundtrip, torn tails, last-write-wins.
+
+Torn tails at every byte, the byte format and directory rejection are
+shared with the other line logs and pinned in
+``tests/durable/test_files.py``.
+"""
 
 import json
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.supervise.quarantine import (
     QUARANTINE_SCHEMA_VERSION,
     PoisonQuarantine,
@@ -29,11 +33,6 @@ def test_missing_file_is_empty(tmp_path):
     quarantine = PoisonQuarantine(tmp_path / "never-written")
     assert len(quarantine) == 0
     assert "k" not in quarantine
-
-
-def test_directory_path_rejected(tmp_path):
-    with pytest.raises(ConfigurationError, match="directory"):
-        PoisonQuarantine(tmp_path)
 
 
 def test_duplicate_keys_last_record_wins(tmp_path):
@@ -82,3 +81,17 @@ def test_reload_picks_up_another_writer(tmp_path):
     assert "theirs" not in mine
     mine.reload()
     assert "theirs" in mine
+
+
+def test_a_failed_write_leaves_the_key_unquarantined(tmp_path, monkeypatch):
+    """Memory follows the file: no durable line, no quarantine."""
+    quarantine = PoisonQuarantine(tmp_path / "poison.jsonl")
+
+    def failing_fsync(fd):
+        raise OSError("injected fsync failure")
+
+    monkeypatch.setattr("os.fsync", failing_fsync)
+    with pytest.raises(OSError, match="injected"):
+        quarantine.add("k", reason="boom", failures=3)
+    assert "k" not in quarantine
+    assert len(quarantine) == 0
