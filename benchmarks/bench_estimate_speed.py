@@ -11,9 +11,16 @@ prediction — the asymmetry this bench pins down:
   reference-count quantiles of the 495 (cost scales with references
   simulated), then extrapolated to the sweep by total reference count.
 
+The speedup floors were set against the scalar exact engine, so the
+exact denominator runs on it (built under
+:func:`repro.cache.native.disabled`); the fast backends run as shipped.
+The compiled exact engine is timed too and reported beside them.
+
 CI gates on the resulting speedups (the ``estimate-speed`` job):
 analytical must clear ``REPRO_EST_MIN_SPEEDUP_ANALYTICAL`` (default
-100x) and sampled ``REPRO_EST_MIN_SPEEDUP_SAMPLED`` (default 10x).
+100x) and sampled ``REPRO_EST_MIN_SPEEDUP_SAMPLED`` (default 10x) over
+scalar exact, and compiled exact ``REPRO_EST_MIN_SPEEDUP_NATIVE``
+(default 5x) over scalar exact.
 """
 
 import itertools
@@ -22,6 +29,7 @@ import time
 
 from conftest import run_once
 
+from repro.cache import native
 from repro.estimate.analytical import AnalyticalModel
 from repro.estimate.reuse import profile_task
 from repro.estimate.sampled import sampled_simulation
@@ -36,6 +44,9 @@ MIN_SPEEDUP_ANALYTICAL = float(
 )
 MIN_SPEEDUP_SAMPLED = float(
     os.environ.get("REPRO_EST_MIN_SPEEDUP_SAMPLED", "10")
+)
+MIN_SPEEDUP_NATIVE = float(
+    os.environ.get("REPRO_EST_MIN_SPEEDUP_NATIVE", "5")
 )
 
 #: Reference-count quantiles the exact/sampled probe mixes come from.
@@ -70,18 +81,24 @@ def _measure(instructions):
     ]
     probe_refs = sum(refs_of[n] for mix in probes for n in mix)
 
-    t_exact = t_sampled = 0.0
+    t_exact = t_native = t_sampled = 0.0
     for mix in probes:
+        tasks = build_tasks(list(mix), instructions=instructions, seed=0)
+        with native.disabled():
+            started = time.perf_counter()
+            run_mix(machine, tasks)
+            t_exact += time.perf_counter() - started
         tasks = build_tasks(list(mix), instructions=instructions, seed=0)
         started = time.perf_counter()
         run_mix(machine, tasks)
-        t_exact += time.perf_counter() - started
+        t_native += time.perf_counter() - started
         tasks = build_tasks(list(mix), instructions=instructions, seed=0)
         started = time.perf_counter()
         sampled_simulation(machine, tasks)
         t_sampled += time.perf_counter() - started
 
     exact_sweep = t_exact / probe_refs * sweep_refs
+    native_sweep = t_native / probe_refs * sweep_refs
     sampled_sweep = t_sampled / probe_refs * sweep_refs
     analytical_sweep = t_profile + t_predict
     return {
@@ -91,12 +108,15 @@ def _measure(instructions):
         "profile_seconds": t_profile,
         "predict_seconds": t_predict,
         "exact_probe_seconds": t_exact,
+        "native_probe_seconds": t_native,
         "sampled_probe_seconds": t_sampled,
         "exact_sweep_seconds": exact_sweep,
+        "native_sweep_seconds": native_sweep,
         "sampled_sweep_seconds": sampled_sweep,
         "analytical_sweep_seconds": analytical_sweep,
         "analytical_speedup": exact_sweep / analytical_sweep,
         "sampled_speedup": exact_sweep / sampled_sweep,
+        "native_speedup": exact_sweep / native_sweep,
     }
 
 
@@ -111,7 +131,11 @@ def bench_estimate_speed(benchmark, report, full_scale):
         f"full sweep: {m['mixes']} four-task mixes, "
         f"{m['sweep_refs']} task references\n"
         f"\n  exact       probe {m['exact_probe_seconds']:6.2f} s "
-        f"-> sweep {m['exact_sweep_seconds']:7.1f} s (extrapolated)"
+        f"-> sweep {m['exact_sweep_seconds']:7.1f} s (scalar engine, "
+        f"extrapolated)"
+        f"\n  exact       probe {m['native_probe_seconds']:6.2f} s "
+        f"-> sweep {m['native_sweep_seconds']:7.1f} s (compiled kernel, "
+        f"{m['native_speedup']:.1f}x)"
         f"\n  sampled     probe {m['sampled_probe_seconds']:6.2f} s "
         f"-> sweep {m['sampled_sweep_seconds']:7.1f} s "
         f"({m['sampled_speedup']:.1f}x)"
@@ -129,4 +153,8 @@ def bench_estimate_speed(benchmark, report, full_scale):
     assert m["sampled_speedup"] >= MIN_SPEEDUP_SAMPLED, (
         f"sampled sweep speedup {m['sampled_speedup']:.1f}x "
         f"below {MIN_SPEEDUP_SAMPLED}x"
+    )
+    assert m["native_speedup"] >= MIN_SPEEDUP_NATIVE, (
+        f"compiled exact speedup {m['native_speedup']:.1f}x "
+        f"below {MIN_SPEEDUP_NATIVE}x"
     )

@@ -7,21 +7,32 @@ replacement produces an *eviction* event, and both carry the physical slot
 
 Performance notes (this is the simulation hot loop):
 
-* The LRU path keeps each set as a pair of plain Python lists ordered
-  most-recent-first — ``list.index`` / ``pop`` / ``insert`` on a ≤16-element
-  list are single C calls, far faster than per-access numpy scalar work.
-* :meth:`access_batch` processes a numpy array of block addresses in one
-  Python loop and returns event arrays, so callers (signature unit, timing
-  model) stay fully vectorised.
+* LRU state lives in flat int64 arrays indexed by slot ``set*ways +
+  way``: the block and owner of each way, and per set the valid-way
+  count and the ways in recency order. Ways fill in order and a miss
+  in a full set refills the LRU way, so a set's valid ways are always
+  ``0 .. lens[s]-1``; a hit or fill moves one entry of the recency row
+  and nothing else.
+* :meth:`access_batch` hands each batch to the compiled kernel
+  (:mod:`repro.cache.native`) in one call and returns fresh event
+  arrays, so callers (signature unit, timing model) stay vectorised.
+* The scalar loop (:meth:`_access_batch_lru`) runs on the same arrays
+  when the kernel is unavailable and is the oracle the differential
+  tests pin the kernel to. A dict from resident block to slot replaces
+  the per-set scan, which keeps it as fast as a list-per-set loop.
+* Other replacement policies keep a dense tag array and the generic
+  per-access policy loop.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cache import native
 from repro.cache.config import CacheConfig
 from repro.cache.replacement import make_policy
 from repro.cache.stats import CacheStats
@@ -86,13 +97,28 @@ class SetAssociativeCache:
         self.num_sets = g.num_sets
         self.ways = g.ways
         self._set_mask = self.num_sets - 1
-        # MRU-first block lists and aligned physical-way / owner lists.
-        self._blocks: List[List[int]] = [[] for _ in range(self.num_sets)]
-        self._wayids: List[List[int]] = [[] for _ in range(self.num_sets)]
-        self._owners: List[List[int]] = [[] for _ in range(self.num_sets)]
         self._lru = config.replacement == "lru"
+        self._kernel: Optional[native.LruKernel] = None
         if self._lru:
             self._policy = None
+            # Block and owner per slot, each set's ways MRU first, and
+            # each set's valid-way count. Never resized: the kernel
+            # holds their addresses.
+            lines = self.num_sets * self.ways
+            self._blocks = array("q", bytes(8 * lines))
+            self._owners = array("q", bytes(8 * lines))
+            self._order = array("q", bytes(8 * lines))
+            self._lens = array("q", bytes(8 * self.num_sets))
+            # Scalar path only: resident block -> slot.
+            self._where: Dict[int, int] = {}
+            lib = native.load()
+            if lib is not None:
+                self._kernel = native.LruKernel(
+                    lib,
+                    (self._blocks, self._owners, self._order, self._lens),
+                    self._set_mask,
+                    self.ways,
+                )
         else:
             self._policy = make_policy(
                 config.replacement, self.num_sets, self.ways, seed=seed
@@ -109,36 +135,38 @@ class SetAssociativeCache:
         """True iff *block* currently resides in the cache."""
         s = block & self._set_mask
         if self._lru:
-            return block in self._blocks[s]
+            base = s * self.ways
+            return block in self._blocks[base : base + self._lens[s]]
         return bool((self._tags[s] == block).any())
 
     def occupancy_by_core(self) -> np.ndarray:
         """Number of resident lines last filled by each core."""
-        counts = np.zeros(self.num_cores, dtype=np.int64)
         if self._lru:
-            for owners in self._owners:
-                for owner in owners:
-                    counts[owner] += 1
-        else:
-            valid = self._tags >= 0
-            for c in range(self.num_cores):
-                counts[c] = int((self._tag_owner[valid] == c).sum())
+            owners = self._resident(self._owners)
+            return np.bincount(owners, minlength=self.num_cores).astype(np.int64)
+        counts = np.zeros(self.num_cores, dtype=np.int64)
+        valid = self._tags >= 0
+        for c in range(self.num_cores):
+            counts[c] = int((self._tag_owner[valid] == c).sum())
         return counts
 
     def resident_blocks(self) -> np.ndarray:
         """All resident block addresses (unordered)."""
         if self._lru:
-            out: List[int] = []
-            for blocks in self._blocks:
-                out.extend(blocks)
-            return np.asarray(out, dtype=np.int64)
+            return self._resident(self._blocks)
         return self._tags[self._tags >= 0].astype(np.int64)
 
     def footprint_lines(self) -> int:
         """Number of valid lines (the true occupancy figures 2/5 compare to)."""
         if self._lru:
-            return sum(len(b) for b in self._blocks)
+            return sum(self._lens)
         return int((self._tags >= 0).sum())
+
+    def _resident(self, state: "array[int]") -> np.ndarray:
+        """The valid-way entries of a per-slot LRU state array."""
+        rows = np.frombuffer(state, dtype=np.int64).reshape(self.num_sets, self.ways)
+        lens = np.frombuffer(self._lens, dtype=np.int64)
+        return rows[np.arange(self.ways) < lens[:, None]]
 
     # ------------------------------------------------------------------
     # access paths
@@ -159,19 +187,35 @@ class SetAssociativeCache:
             raise ConfigurationError(
                 f"core {core} out of range for {self.num_cores}-core cache"
             )
-        if self._lru:
+        if self._kernel is not None:
+            result = self._access_batch_native(core, blocks)
+        elif self._lru:
             result = self._access_batch_lru(core, blocks)
         else:
             result = self._access_batch_generic(core, blocks)
         self.stats.record(core, result.hits, result.misses, len(result.evictions))
         return result
 
+    def _access_batch_native(self, core: int, blocks: np.ndarray) -> AccessResult:
+        hits, fills, evicts = self._kernel.access(core, blocks)
+        return AccessResult(
+            hits=hits,
+            misses=0 if fills is None else fills.shape[1],
+            fills=_EMPTY if fills is None else fills[0],
+            fill_slots=_EMPTY if fills is None else fills[1],
+            evictions=_EMPTY if evicts is None else evicts[0],
+            evict_slots=_EMPTY if evicts is None else evicts[1],
+            evict_fill_pos=_EMPTY if evicts is None else evicts[2],
+        )
+
     def _access_batch_lru(self, core: int, blocks: np.ndarray) -> AccessResult:
         set_mask = self._set_mask
         ways = self.ways
-        all_blocks = self._blocks
-        all_wayids = self._wayids
-        all_owners = self._owners
+        resident = self._blocks
+        owners = self._owners
+        order = self._order
+        lens = self._lens
+        where = self._where
         hits = 0
         fills: List[int] = []
         fill_slots: List[int] = []
@@ -179,37 +223,39 @@ class SetAssociativeCache:
         evict_slots: List[int] = []
         evict_fill_pos: List[int] = []
         for block in blocks.tolist():
-            s = block & set_mask
-            line = all_blocks[s]
-            try:
-                i = line.index(block)
-            except ValueError:
-                # Miss: evict LRU (tail) if full, insert at MRU (head).
-                wayids = all_wayids[s]
-                owners = all_owners[s]
-                if len(line) == ways:
-                    victim_block = line.pop()
-                    victim_way = wayids.pop()
-                    owners.pop()
-                    evictions.append(victim_block)
-                    evict_slots.append(s * ways + victim_way)
+            slot = where.get(block)
+            if slot is None:
+                # Miss: refill the LRU way if the set is full, else the
+                # next free way; either way it becomes the MRU.
+                base = (block & set_mask) * ways
+                n = lens[block & set_mask]
+                if n == ways:
+                    end = base + n - 1
+                    slot = base + order[end]
+                    victim = resident[slot]
+                    del where[victim]
+                    evictions.append(victim)
+                    evict_slots.append(slot)
                     evict_fill_pos.append(len(fills))
-                    way = victim_way
                 else:
-                    way = len(line)
-                line.insert(0, block)
-                wayids.insert(0, way)
-                owners.insert(0, core)
+                    end = slot = base + n
+                    lens[block & set_mask] = n + 1
+                order[base + 1 : end + 1] = order[base:end]
+                order[base] = slot - base
+                resident[slot] = block
+                owners[slot] = core
+                where[block] = slot
                 fills.append(block)
-                fill_slots.append(s * ways + way)
+                fill_slots.append(slot)
             else:
                 hits += 1
-                if i:
-                    line.insert(0, line.pop(i))
-                    wayids = all_wayids[s]
-                    wayids.insert(0, wayids.pop(i))
-                    owners = all_owners[s]
-                    owners.insert(0, owners.pop(i))
+                way = slot % ways
+                base = slot - way
+                if order[base] != way:
+                    # Valid ways lead the row, so the first match is live.
+                    i = base + order[base : base + ways].index(way)
+                    order[base + 1 : i + 1] = order[base:i]
+                    order[base] = way
         return AccessResult(
             hits=hits,
             misses=len(fills),
@@ -277,10 +323,12 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Invalidate all lines and zero statistics."""
-        self._blocks = [[] for _ in range(self.num_sets)]
-        self._wayids = [[] for _ in range(self.num_sets)]
-        self._owners = [[] for _ in range(self.num_sets)]
-        if not self._lru:
+        if self._lru:
+            # Zeroed in place: the kernel holds the arrays' addresses.
+            for state in (self._blocks, self._owners, self._order, self._lens):
+                np.frombuffer(state, dtype=np.int64).fill(0)
+            self._where.clear()
+        else:
             self._tags.fill(-1)
             self._tag_owner.fill(-1)
             self._policy.reset()

@@ -40,6 +40,12 @@ counter/CF bit. The residual drift vs strict order is limited to
 counter-saturation timing within a batch and vanishes at batch size 1
 (property-tested). ``exact=True`` processes events strictly in order for
 validation.
+
+The default configuration (batched, one unsalted XOR-fold hash, no set
+sampling, clamping saturation) applies each batch in one call of the
+compiled kernel (:mod:`repro.cache.native`), with the numpy path's
+results bit for bit; every other configuration, and every unit built
+under :func:`repro.cache.native.disabled`, runs the numpy path.
 """
 
 from __future__ import annotations
@@ -49,8 +55,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.cache import native
 from repro.core.context import SignatureSample
-from repro.core.hashes import HashFunction, make_hash_family
+from repro.core.hashes import HashFunction, XorFoldHash, make_hash_family
 from repro.core.metrics import running_bit_vector, symbiosis_vector
 from repro.core.sampling import SetSampler
 from repro.errors import ConfigurationError, CounterSaturationError, SignatureError
@@ -424,6 +431,41 @@ class SignatureUnit:
         self._shift = int(np.log2(config.sampling_denominator))
         #: Optional fault injector (see :mod:`repro.faults.injectors`).
         self.injector = None
+        self._kernel = self._bind_kernel()
+        #: Whether every counter is known to lie in [0, counter_max]; the
+        #: kernel clamps the whole array (numpy's semantics) when not.
+        #: Outside record_events, counters change only in reset() (which
+        #: sets this) and an injector's after_events hook (which clears it).
+        self._counters_in_range = False
+
+    def _bind_kernel(self) -> Optional[native.CbfKernel]:
+        """The compiled batch update, for the default batched XOR-fold unit.
+
+        Exact, presence, strict-saturation, set-sampled and other hash
+        configurations keep the numpy paths.
+        """
+        config = self.config
+        if (
+            config.exact
+            or config.strict_saturation
+            or config.sampling_denominator != 1
+            or len(self.hashes) != 1
+            or type(self.hashes[0]) is not XorFoldHash
+            or self.hashes[0].fold_bits > 64
+        ):
+            return None
+        lib = native.load()
+        if lib is None:
+            return None
+        fold = self.hashes[0]
+        return native.CbfKernel(
+            lib,
+            self.counters,
+            [cf._words for cf in self.core_filters],
+            self.counter_max,
+            fold.index_bits,
+            fold.fold_bits,
+        )
 
     def attach_injector(self, injector) -> None:
         """Attach a fault injector to this unit (``None`` detaches).
@@ -603,6 +645,12 @@ class SignatureUnit:
         batch's filling core (the cache always evicts the previous
         occupant before refilling a slot).
         """
+        if self._kernel is not None:
+            self._record_events_native(core, fills, evictions)
+            if self.injector is not None:
+                self.injector.after_events(self)
+                self._counters_in_range = False
+            return
         if self._presence and not self.config.exact:
             self._record_events_presence(core, fills, fill_slots, evictions, evict_slots)
             if self.injector is not None:
@@ -642,6 +690,24 @@ class SignatureUnit:
         self.record_eviction_batch(evictions, evict_slots)
         if self.injector is not None:
             self.injector.after_events(self)
+
+    def _record_events_native(
+        self, core: int, fills: np.ndarray, evictions: np.ndarray
+    ) -> None:
+        """The batched hash-mode update of one cache batch, in one C call."""
+        self._check_core(core)
+        excess, deficit = self._kernel.record(
+            core, fills, evictions, scan_all=not self._counters_in_range
+        )
+        # A batch clamps high only if it has fills, low only if it has
+        # evictions (numpy's stages); both together leave every counter
+        # in range.
+        if len(fills) and len(evictions):
+            self._counters_in_range = True
+        self.stats.fills_tracked += len(fills)
+        self.stats.evictions_tracked += len(evictions)
+        self.stats.saturation_events += excess
+        self.stats.underflow_events += deficit
 
     def _record_events_presence(
         self,
@@ -798,6 +864,7 @@ class SignatureUnit:
     def reset(self) -> None:
         """Clear all counters, filters and statistics."""
         self.counters.fill(0)
+        self._counters_in_range = True
         for cf in self.core_filters:
             cf.zero()
         for lf in self.last_filters:

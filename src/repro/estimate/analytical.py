@@ -341,7 +341,7 @@ def analytical_simulation(
             groups[i % machine.num_cores].append(i)
     else:
         groups = [
-            [tid_to_index[tid] for tid in g] for g in mapping.groups
+            [tid_to_index[tid] for tid in sorted(g)] for g in mapping.groups
         ]
     prediction = model.predict(groups)
     by_index = {t.index: t for t in prediction.tasks}

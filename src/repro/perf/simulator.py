@@ -218,7 +218,7 @@ class MulticoreSimulator:
             by_tid = {t.tid: t for t in self.tasks}
             placed = set()
             for core, group in enumerate(mapping.groups):
-                for tid in group:
+                for tid in sorted(group):
                     if tid not in by_tid:
                         raise ConfigurationError(f"mapping names unknown task {tid}")
                     self.scheduler.add_task(by_tid[tid], core)
@@ -326,10 +326,13 @@ class MulticoreSimulator:
 
                 task = sched.current_task(core)
                 n = min(batch, task.remaining_accesses)
+                if prof is not None:
+                    tg = perf_counter()  # repro: noqa[RPR101]
+                    prof.add("interleave", tg - t0)
                 blocks = task.generator.next_batch(n)
                 if prof is not None:
                     t1 = perf_counter()  # repro: noqa[RPR101]
-                    prof.add("interleave", t1 - t0)
+                    prof.add("generate", t1 - tg, n)
                 l1_hits = 0
                 if self._l1s is not None:
                     l1_result = self._l1s[core].access_batch(0, blocks)

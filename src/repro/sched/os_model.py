@@ -145,7 +145,7 @@ class OSScheduler:
                 f"mapping uses {mapping.num_cores} cores, have {self.num_cores}"
             )
         for core, group in enumerate(mapping.groups):
-            for tid in group:
+            for tid in sorted(group):
                 self.set_affinity(tid, core)
 
     # ------------------------------------------------------------------

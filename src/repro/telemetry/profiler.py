@@ -3,10 +3,10 @@
 The simulator's main loop is too hot for a span per batch (hundreds of
 thousands of batches per run), so profiling is aggregated: a
 :class:`PhaseProfile` accumulates wall seconds and operation counts per
-*phase* — interleave (core selection + trace generation), L2 access,
+*phase* — interleave (core selection), trace generation, L2 access,
 signature sampling, timing-model accounting, monitor invocation — with
-two ``perf_counter`` reads per phase per batch when telemetry is enabled
-and nothing at all when it is not.
+one ``perf_counter`` read per phase boundary per batch when telemetry
+is enabled and nothing at all when it is not.
 
 At run end the profile is emitted once: one synthetic child span per
 phase (laid back-to-back under the ``simulator.run`` span so trace
@@ -24,9 +24,10 @@ from repro.telemetry.spans import Tracer
 
 __all__ = ["SIMULATOR_PHASES", "PhaseProfile"]
 
-#: The simulator's instrumented phases, in loop order.
+#: The simulator's instrumented phases, in loop order. ``generate``
+#: counts references produced by the tasks' trace generators.
 SIMULATOR_PHASES: Tuple[str, ...] = (
-    "interleave", "l2_access", "signature", "timing", "monitor",
+    "interleave", "generate", "l2_access", "signature", "timing", "monitor",
 )
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.cache.config import tiny_cache
 from repro.core.signature import SignatureConfig
 from repro.errors import ConfigurationError, SimulationError
-from repro.perf.machine import MachineConfig
+from repro.perf.machine import MachineConfig, core2duo
+from repro.perf.runner import build_tasks, run_mix
 from repro.perf.simulator import MulticoreSimulator
 from repro.perf.timing import TimingModel
 from repro.sched.affinity import canonical_mapping
@@ -112,6 +113,24 @@ class TestPlacementAndMapping:
             MulticoreSimulator(
                 tiny_machine(), [a], mapping=canonical_mapping([[a.tid, 9999], []])
             )
+
+    def test_results_do_not_depend_on_the_tid_counter(self):
+        # Task ids come from a process-wide counter; a frozenset of tids
+        # iterates in tid-mod-table-size order, so run-queue order must
+        # not follow it. Build the same mix at eight counter offsets.
+        times = set()
+        for offset in range(8):
+            for _ in range(offset):
+                make_task("pad")  # draws one task id
+            tasks = build_tasks(
+                ["mcf", "povray", "libquantum", "hmmer"], instructions=200_000
+            )
+            mapping = canonical_mapping(
+                [[tasks[0].tid, tasks[2].tid], [tasks[1].tid, tasks[3].tid]]
+            )
+            result = run_mix(core2duo(), tasks, mapping=mapping)
+            times.add(tuple(t.user_cycles for t in result.tasks))
+        assert len(times) == 1
 
     def test_default_round_robin(self):
         tasks = [make_task(f"t{i}", seed=i) for i in range(4)]
