@@ -34,11 +34,6 @@ class PrefetchStats:
     issued: int = 0
     useless: int = 0  # prefetched block was already resident
 
-    @property
-    def useful_issue_rate(self) -> float:
-        """Fraction of issued prefetches that brought in a new line."""
-        return (self.issued - self.useless) / self.issued if self.issued else 0.0
-
 
 class PrefetchingCache:
     """Next-N-line prefetcher wrapped around a set-associative cache.

@@ -18,10 +18,10 @@ Subcommands
     Run the AST-based invariant linter (:mod:`repro.lint`) over the
     tree: determinism, durability, worker-safety and telemetry-hygiene
     rules, with ``# repro: noqa[CODE]`` suppressions and a committed
-    baseline — see ``docs/static-analysis.md``. With ``--flow``, the
-    whole-program RPR6xx passes (:mod:`repro.flow`) run over the same
-    parse: call-graph construction plus interprocedural determinism,
-    async-safety, and durability checks, with JSON/DOT graph export.
+    baseline — see ``docs/static-analysis.md``. The whole-program
+    rules (:mod:`repro.flow`) run over the same parse: call-graph
+    construction plus interprocedural durability, async-safety and
+    determinism checks, with JSON/DOT graph export.
 ``serve``
     Run the online scheduling daemon (:mod:`repro.service`): admits and
     retires processes dynamically over a newline-JSON TCP protocol and

@@ -183,10 +183,6 @@ class CountingBloomFilter:
         """Number of non-zero counters."""
         return int(np.count_nonzero(self.counters))
 
-    def occupancy_fraction(self) -> float:
-        """Fraction of counters that are non-zero (0.0 empty, 1.0 full)."""
-        return self.occupancy_weight() / self.num_entries
-
     def saturation(self) -> float:
         """Fraction of counters pinned at ``counter_max``.
 

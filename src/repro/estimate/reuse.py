@@ -90,11 +90,6 @@ class ReuseProfile:
         """True when the profile covers a prefix of the full trace."""
         return self.refs < self.total_refs
 
-    @property
-    def cold_fraction(self) -> float:
-        """Fraction of profiled references that touch a block first."""
-        return self.distinct_blocks / self.refs
-
     def footprint(self, windows: np.ndarray) -> np.ndarray:
         """Expected distinct blocks in windows of the given lengths.
 

@@ -15,7 +15,7 @@ expression to one of:
   (``time.time``, ``os.fsync``, ``json.dumps``). The subset the flow
   rules care about is categorised into *primitive calls*: ``clock``,
   ``entropy``, ``rng`` (mirroring RPR102's seeded/unseeded logic),
-  and ``blocking`` (RPR501's list);
+  and ``blocking`` (:data:`BLOCKING_CALLS`, RPR501's list);
 * an **unresolved call** — a genuinely dynamic target (method on a
   local variable, call through a callable parameter). These are
   recorded, counted, and exported — never silently dropped — because
@@ -27,7 +27,10 @@ functions visible by bare name → sibling module-level symbols →
 import-alias resolution (through re-exports, via
 :meth:`~repro.flow.symbols.SymbolTable.canonicalize`) →
 ``self.method()`` / ``cls.method()`` through the class hierarchy →
-``self.attr.method()`` through inferred attribute types.
+``self.attr.method()`` through inferred attribute types. The same
+resolution serves any body — a module body, or a function in a file
+outside the package tree — through :meth:`GraphBuilder.resolve_body`;
+only the project functions become graph nodes.
 """
 
 from __future__ import annotations
@@ -37,15 +40,16 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.flow.symbols import FunctionInfo, SymbolTable
+from repro.lint.context import ModuleContext
 from repro.lint.rules.determinism import (
     CLOCK_CALLS,
     ENTROPY_CALLS,
     _NUMPY_SEEDABLE,
     _is_unseeded,
 )
-from repro.lint.rules.service_async import BLOCKING_CALLS
 
 __all__ = [
+    "BLOCKING_CALLS",
     "KIND_CALL",
     "KIND_TASK",
     "KIND_EXECUTOR",
@@ -62,6 +66,27 @@ __all__ = [
 KIND_CALL = "call"
 KIND_TASK = "task"
 KIND_EXECUTOR = "executor"
+
+#: Dotted call targets that block the event loop (the ``blocking``
+#: primitive category, which RPR501 follows out of service coroutines).
+BLOCKING_CALLS: Tuple[str, ...] = (
+    "time.sleep",
+    "open",
+    "io.open",
+    "os.system",
+    "os.popen",
+    "os.waitpid",
+    "subprocess.run",
+    "subprocess.call",
+    "subprocess.check_call",
+    "subprocess.check_output",
+    "subprocess.Popen",
+    "socket.create_connection",
+    "urllib.request.urlopen",
+    "requests.get",
+    "requests.post",
+    "requests.request",
+)
 
 #: ``asyncio`` module-level spawners whose first argument is the spawned
 #: coroutine (or coroutine-producing call).
@@ -97,6 +122,9 @@ class PrimitiveCall:
     target: str
     lineno: int
     category: str  # clock | entropy | rng | blocking
+    #: How the call runs: inline (``call``), or handed to a task or an
+    #: executor thread by a spawn wrapper.
+    kind: str = KIND_CALL
 
 
 @dataclass(frozen=True, order=True)
@@ -123,14 +151,16 @@ def iter_body_calls(node: ast.AST) -> Iterator[ast.Call]:
     Nested ``def``/``async def``/``class`` bodies are skipped — each is
     its own analysis scope (its calls belong to *its* graph node).
     """
-    for child in ast.iter_child_nodes(node):
+    stack = list(ast.iter_child_nodes(node))[::-1]
+    while stack:
+        child = stack.pop()
         if isinstance(
             child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         ):
             continue
         if isinstance(child, ast.Call):
             yield child
-        yield from iter_body_calls(child)
+        stack.extend(list(ast.iter_child_nodes(child))[::-1])
 
 
 def _display(expr: ast.expr) -> str:
@@ -217,20 +247,27 @@ class GraphBuilder:
     def resolve_call(
         self, fn: FunctionInfo, call: ast.Call
     ) -> Resolution:
-        """Resolve one call expression in *fn*'s body.
-
-        Also reused by the ordered-event (RPR603) pass, which needs the
-        same resolution logic interleaved with its own event stream.
-        """
-        spawned = self._resolve_spawn(fn, call)
-        if spawned is not None:
-            return spawned[0]
-        return self._resolve_plain(fn, call.func)
+        """Resolve one call expression in *fn*'s body."""
+        context = self.symtab.contexts[fn.module]
+        return self._resolve(context, fn, call)[0]
 
     def resolve_calls(
         self, fn: FunctionInfo
     ) -> Iterator[Tuple[ast.Call, Resolution]]:
-        """Resolve every call in *fn*'s body, in source order.
+        """Resolve every call in project function *fn*'s body."""
+        return self.resolve_body(self.symtab.contexts[fn.module], fn.node, fn)
+
+    def resolve_body(
+        self,
+        context: ModuleContext,
+        node: ast.AST,
+        fn: Optional[FunctionInfo] = None,
+    ) -> Iterator[Tuple[ast.Call, Resolution]]:
+        """Resolve every call executed by *node*'s body, in source order.
+
+        *fn* is *node*'s symbol-table entry when it has one; module
+        bodies and functions of files outside the package tree resolve
+        without nested defs or ``self``.
 
         Spawn wrappers consume their inner call expression —
         ``asyncio.create_task(self.worker())`` is one ``task`` edge to
@@ -240,28 +277,26 @@ class GraphBuilder:
         resolve normally — those do evaluate inline.
         """
         consumed: Set[int] = set()
-        for call in iter_body_calls(fn.node):
+        for call in iter_body_calls(node):
             if id(call) in consumed:
                 continue
-            spawned = self._resolve_spawn(fn, call)
-            if spawned is not None:
-                resolution, inner = spawned
-                if inner is not None:
-                    consumed.add(id(inner))
-                yield call, resolution
-            else:
-                yield call, self._resolve_plain(fn, call.func)
+            resolution, inner = self._resolve(context, fn, call)
+            if inner is not None:
+                consumed.add(id(inner))
+            yield call, resolution
 
-    def _resolve_spawn(
-        self, fn: FunctionInfo, call: ast.Call
-    ) -> Optional[Tuple[Resolution, Optional[ast.Call]]]:
-        """Handle asyncio task/executor spawn wrappers.
+    def _resolve(
+        self,
+        context: ModuleContext,
+        fn: Optional[FunctionInfo],
+        call: ast.Call,
+    ) -> Tuple[Resolution, Optional[ast.Call]]:
+        """Resolve *call*, handling asyncio task/executor spawn wrappers.
 
         Returns ``(resolution, inner_call)`` where *inner_call* is the
-        coroutine-building call expression the wrapper consumed (for
-        deduplication), or ``None`` for a non-spawn call.
+        coroutine-building call expression a spawn wrapper consumed (for
+        deduplication), or ``None``.
         """
-        context = self.symtab.contexts[fn.module]
         resolved = context.resolve(call.func)
         kind: Optional[str] = None
         target_expr: Optional[ast.expr] = None
@@ -276,7 +311,7 @@ class GraphBuilder:
             elif call.func.attr == "run_in_executor" and len(call.args) >= 2:
                 kind, target_expr = KIND_EXECUTOR, call.args[1]
         if kind is None or target_expr is None:
-            return None
+            return self._resolve_plain(context, fn, call.func), None
         # create_task(self._run()) spawns the *coroutine function*; the
         # inner Call builds a coroutine object, it does not run the body
         # synchronously, so the spawned callee is the inner call's func.
@@ -284,29 +319,32 @@ class GraphBuilder:
         if isinstance(target_expr, ast.Call):
             inner_call = target_expr
             target_expr = target_expr.func
-        inner = self._resolve_plain(fn, target_expr)
+        inner = self._resolve_plain(context, fn, target_expr)
         resolution = Resolution(
             kind=inner.kind, target=inner.target, spawn=kind
         )
         return resolution, inner_call
 
     def _resolve_plain(
-        self, fn: FunctionInfo, func: ast.expr
+        self,
+        context: ModuleContext,
+        fn: Optional[FunctionInfo],
+        func: ast.expr,
     ) -> Resolution:
         symtab = self.symtab
-        context = symtab.contexts[fn.module]
         # 1. Nested functions visible by bare name.
         if isinstance(func, ast.Name):
-            local = fn.local_defs.get(func.id)
+            local = fn.local_defs.get(func.id) if fn is not None else None
             if local is not None:
                 return Resolution("project", local)
             # 2. Sibling module-level symbols (bound names, so the
             #    module alias map declines them).
-            sibling = f"{fn.module}.{func.id}"
-            if sibling in symtab.functions:
-                return Resolution("project", sibling)
-            if sibling in symtab.classes:
-                return self._constructor(sibling)
+            if context.module is not None:
+                sibling = f"{context.module}.{func.id}"
+                if sibling in symtab.functions:
+                    return Resolution("project", sibling)
+                if sibling in symtab.classes:
+                    return self._constructor(sibling)
         # 3. Import-alias resolution, chased through re-exports.
         resolved = context.resolve(func)
         if resolved is not None:
@@ -316,15 +354,14 @@ class GraphBuilder:
             if canonical in symtab.classes:
                 return self._constructor(canonical)
             return Resolution("external", canonical)
+        class_qname = fn.class_qname if fn is not None else None
         # 4. self.method() / cls.method() through the hierarchy.
-        if isinstance(func, ast.Attribute):
+        if isinstance(func, ast.Attribute) and class_qname is not None:
             receiver = func.value
-            if (
-                isinstance(receiver, ast.Name)
-                and receiver.id in ("self", "cls")
-                and fn.class_qname is not None
+            if isinstance(receiver, ast.Name) and receiver.id in (
+                "self", "cls"
             ):
-                method = symtab.resolve_method(fn.class_qname, func.attr)
+                method = symtab.resolve_method(class_qname, func.attr)
                 if method is not None:
                     return Resolution("project", method)
                 return Resolution(
@@ -335,11 +372,8 @@ class GraphBuilder:
                 isinstance(receiver, ast.Attribute)
                 and isinstance(receiver.value, ast.Name)
                 and receiver.value.id == "self"
-                and fn.class_qname is not None
             ):
-                attr_class = symtab.attr_type(
-                    fn.class_qname, receiver.attr
-                )
+                attr_class = symtab.attr_type(class_qname, receiver.attr)
                 if attr_class is not None:
                     method = symtab.resolve_method(attr_class, func.attr)
                     if method is not None:
@@ -380,7 +414,8 @@ class GraphBuilder:
                     ):
                         primitives.append(
                             PrimitiveCall(qname, resolution.target,
-                                          lineno, category)
+                                          lineno, category,
+                                          resolution.spawn)
                         )
                 else:
                     unresolved.append(

@@ -2,8 +2,8 @@
 
 :func:`analyze` turns a :class:`~repro.flow.program.Program` into a
 :class:`FlowAnalysis` — symbol table, call graph, and the shared
-services the RPR6xx passes consume (suppression lookup, the memoised
-mutation summary). :func:`run_flow` then executes every registered flow
+services the whole-program rules consume (suppression lookup, the
+memoised mutation summary). :func:`run_flow` then executes every registered flow
 rule (or a selected subset) over it and returns the surviving, sorted
 violations plus the run's statistics.
 

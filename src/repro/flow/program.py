@@ -8,9 +8,10 @@ with a dotted name derived from their ``src/`` layout path, or assigned
 explicitly by tests via :meth:`Program.from_sources`.
 
 Files without a dotted module name (tests, scripts, benchmarks) still
-ride along for per-file linting but contribute no symbols: the
-whole-program analysis is about the shipped package tree, whose
-functions are the only ones reachable from more than one place.
+ride along but contribute no symbols: the call graph is about the
+shipped package tree, whose functions are the only ones reachable from
+more than one place. Rules that check every body (RPR201) still read
+them, resolving their calls into the package tree.
 """
 
 from __future__ import annotations

@@ -1,9 +1,19 @@
-"""RPR6xx — whole-program dataflow rules.
+"""Whole-program rules: invariants followed across calls and modules.
 
 Each rule here follows an invariant *across* function and module
-boundaries using the call graph, which is exactly what the per-file
-RPR1xx/RPR5xx rules cannot do:
+boundaries using the call graph, so one rule covers a violation at any
+depth — inline in the function, or any number of calls away:
 
+* **RPR201** — fsync before every rename. A rename (``os.replace``
+  anywhere; in ``repro.durable``/``repro.service`` also ``os.rename``,
+  ``shutil.move`` and the one-argument ``.rename``/``.replace`` method
+  forms) with no ``os.fsync`` before it in the function's flattened call
+  stream can commit an empty or truncated file after a crash.
+* **RPR501** — no blocking in the event loop. A ``repro.service``
+  coroutine that calls a blocking primitive
+  (:data:`~repro.flow.callgraph.BLOCKING_CALLS`),
+  directly or through a chain of synchronous helpers it calls inline,
+  stalls every connection. Executor and task dispatches are exempt.
 * **RPR601** — interprocedural determinism taint. A sim-core function
   that calls a helper *outside* the core packages which (transitively)
   reads a clock, OS entropy, or an unseeded RNG has the same
@@ -11,14 +21,6 @@ RPR1xx/RPR5xx rules cannot do:
   Also flags iteration over ``set`` literals/constructors in sim-core
   functions that produce output — unordered iteration order escaping
   into results is PYTHONHASHSEED-dependent.
-* **RPR602** — transitive async-blocking. RPR501 bans ``time.sleep``
-  lexically inside ``async def``; this pass bans it at *any* depth
-  through a chain of synchronous helpers called (not dispatched to an
-  executor) from a service coroutine.
-* **RPR603** — cross-function fsync-before-rename. RPR502 checks one
-  function at a time; this pass inlines the callee event streams so a
-  durable-scope function that delegates its publish to a helper in a
-  *non*-durable module still needs an ``os.fsync`` ordered before it.
 * **RPR604** — await-interleaving race. Async methods of service
   classes that mutate shared instance state on *both sides* of an
   ``await`` can interleave with a concurrent handler between the
@@ -45,12 +47,15 @@ from typing import (
     Tuple,
 )
 
-from repro.flow.callgraph import KIND_CALL, PrimitiveCall
+from repro.flow.callgraph import KIND_CALL, PrimitiveCall, Resolution
 from repro.flow.symbols import FunctionInfo
+from repro.lint.context import ModuleContext
 from repro.lint.registry import (
+    SCOPE_ALL,
     SCOPE_DURABLE,
     SCOPE_SERVICE,
     SCOPE_SIM_CORE,
+    in_scope,
     register_flow,
 )
 from repro.lint.violation import Violation
@@ -62,7 +67,7 @@ __all__ = ["SINGLE_WRITER_SEAMS"]
 #: because the seam runs on exactly one consumer task by construction.
 SINGLE_WRITER_SEAMS: Tuple[str, ...] = ("_handle",)
 
-#: Inline depth cap for the RPR603 event splice (cycles are skipped
+#: Inline depth cap for the RPR201 event splice (cycles are skipped
 #: outright; this bounds pathological deep chains).
 _INLINE_DEPTH = 12
 
@@ -73,7 +78,7 @@ _SOURCE_WAIVERS = {
     "clock": ("RPR101", "RPR601"),
     "rng": ("RPR102", "RPR601"),
     "entropy": ("RPR103", "RPR601"),
-    "blocking": ("RPR501", "RPR602"),
+    "blocking": ("RPR501",),
 }
 
 
@@ -167,6 +172,254 @@ def _render_path(
 
 
 # ---------------------------------------------------------------------
+# RPR201 — fsync before every rename, at any call depth
+# ---------------------------------------------------------------------
+
+#: Rename spellings that publish a file. ``os.replace`` is audited
+#: everywhere; the others only when the root function is in the durable
+#: scope, because the method-form match is heuristic (any one-argument
+#: ``.rename(...)``/``.replace(...)`` call; ``str.replace`` takes two).
+_RENAME_TARGETS = ("os.replace", "os.rename", "shutil.move")
+_RENAME_METHODS = frozenset({"rename", "replace"})
+
+
+@dataclass(frozen=True)
+class _PublishEvent:
+    """One fsync or rename in a (possibly inlined) event stream."""
+
+    kind: str  # "fsync" | "rename"
+    label: str
+    site: str  # "module:line", for messages
+
+
+def _rename_label(context: ModuleContext, call: ast.Call) -> Optional[str]:
+    """Display label if *call* is a rename-family publish, else ``None``."""
+    resolved = context.resolve(call.func)
+    if resolved in _RENAME_TARGETS:
+        return resolved
+    if resolved is not None:
+        return None
+    func = call.func
+    if (
+        isinstance(func, ast.Attribute)
+        and func.attr in _RENAME_METHODS
+        and len(call.args) == 1
+        and not call.keywords
+    ):
+        return f".{func.attr}"
+    return None
+
+
+def _call_events(
+    analysis: Any,
+    context: ModuleContext,
+    call: ast.Call,
+    resolution: Resolution,
+    memo: Dict[str, List[_PublishEvent]],
+    stack: Set[str],
+) -> List[_PublishEvent]:
+    """The fsync/rename events one call contributes, callees inlined.
+
+    A rename whose own line carries ``noqa[RPR201]`` is dropped here, so
+    the waiver also covers every caller that reaches it.
+    """
+    if resolution.spawn != KIND_CALL:
+        return []  # task/executor work is not ordered with this body
+    if context.resolve(call.func) == "os.fsync":
+        return [_PublishEvent("fsync", "os.fsync", "")]
+    label = _rename_label(context, call)
+    if label is not None:
+        if analysis.covers(context.path, "RPR201", call.lineno):
+            return []
+        site = f"{context.module}:{call.lineno}"
+        return [_PublishEvent("rename", label, site)]
+    if resolution.kind != "project":
+        return []
+    qname = resolution.target
+    cached = memo.get(qname)
+    if cached is not None:
+        return cached
+    if qname in stack or len(stack) > _INLINE_DEPTH:
+        return []
+    fn = analysis.symtab.functions[qname]
+    callee = analysis.symtab.contexts[fn.module]
+    stack.add(qname)
+    events: List[_PublishEvent] = []
+    for inner, inner_resolution in analysis.builder.resolve_calls(fn):
+        events.extend(
+            _call_events(analysis, callee, inner, inner_resolution, memo,
+                         stack)
+        )
+    stack.discard(qname)
+    memo[qname] = events
+    return events
+
+
+@register_flow(
+    "RPR201",
+    "rename-without-fsync",
+    "rename with no os.fsync before it in the function or its callees",
+    scope=SCOPE_ALL,
+    rationale=(
+        "A rename publishes a file atomically, but only fsync-then-rename "
+        "makes the publish durable: without the fsync a power loss can "
+        "expose a committed-but-empty file that recovery then trusts. "
+        "Each function's calls are flattened into one ordered fsync/"
+        "rename stream, so a publish delegated to a helper needs an "
+        "os.fsync ordered before it just as an inline one does. "
+        "os.replace is audited everywhere; os.rename, shutil.move and "
+        "the pathlib rename/replace methods where scheduler state is "
+        "persisted (repro.durable, repro.service)."
+    ),
+)
+def check_rename_without_fsync(analysis: Any) -> Iterator[Violation]:
+    """Flag calls that rename, or reach a rename, before any fsync."""
+    by_node = {id(fn.node): fn for fn in analysis.symtab.functions.values()}
+    memo: Dict[str, List[_PublishEvent]] = {}
+    for module in analysis.program.modules:
+        context = module.context
+        if context is None:
+            continue
+        durable = in_scope(SCOPE_DURABLE, context)
+        for scope in context.nodes:
+            if not isinstance(
+                scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                continue
+            fn = by_node.get(id(scope))
+            fsynced = False
+            for call, resolution in analysis.builder.resolve_body(
+                context, scope, fn
+            ):
+                reported = False
+                for event in _call_events(
+                    analysis, context, call, resolution, memo, set()
+                ):
+                    if event.kind == "fsync":
+                        fsynced = True
+                    elif not (fsynced or reported) and (
+                        durable or event.label == "os.replace"
+                    ):
+                        reported = True
+                        yield _rename_finding(
+                            context, fn, call, resolution, event
+                        )
+
+
+def _rename_finding(
+    context: ModuleContext,
+    fn: Optional[FunctionInfo],
+    call: ast.Call,
+    resolution: Resolution,
+    event: _PublishEvent,
+) -> Violation:
+    if _rename_label(context, call) is not None:
+        message = (
+            f"{event.label}() publishes without a preceding os.fsync in "
+            "this function; a crash can expose a torn or empty committed "
+            "file (write-tmp, flush, fsync, then rename)"
+        )
+    else:
+        where = fn.qname if fn is not None else "this code"
+        message = (
+            f"{where} calls {resolution.target}, which publishes via "
+            f"{event.label}() ({event.site}) with no os.fsync ordered "
+            "before it anywhere on the path; a crash can commit an empty "
+            "or truncated file"
+        )
+    return Violation(
+        path=context.path,
+        line=call.lineno,
+        col=1,
+        code="RPR201",
+        message=message,
+        source=context.source_line(call.lineno),
+    )
+
+
+# ---------------------------------------------------------------------
+# RPR501 — no blocking call in a service coroutine, at any call depth
+# ---------------------------------------------------------------------
+
+
+@register_flow(
+    "RPR501",
+    "blocking-call-in-async",
+    "service coroutine calls a blocking primitive, directly or through "
+    "sync helpers",
+    scope=SCOPE_SERVICE,
+    rationale=(
+        "The daemon is one event loop: a time.sleep or synchronous file/"
+        "process/network call inside a coroutine stalls every connection "
+        "and suppresses heartbeat ticks, making a loaded daemon "
+        "indistinguishable from a wedged one. Wrapping the call in a "
+        "synchronous helper stalls the loop just as thoroughly, so plain "
+        "call chains are followed into every sync helper. Use "
+        "asyncio.sleep, or dispatch the blocking work through "
+        "loop.run_in_executor / asyncio.to_thread — executor and task "
+        "edges are the sanctioned escape."
+    ),
+)
+def check_blocking_in_async(analysis: Any) -> Iterator[Violation]:
+    """Flag coroutine calls that block, inline or via sync helpers."""
+    symtab = analysis.symtab
+    graph = analysis.graph
+
+    def blocking(qname: str) -> List[PrimitiveCall]:
+        return [
+            primitive
+            for primitive in graph.primitives_by_caller.get(qname, [])
+            if primitive.category == "blocking"
+            and primitive.kind == KIND_CALL
+            and not _source_waived(analysis, primitive)
+        ]
+
+    direct: Dict[str, PrimitiveCall] = {}
+    for qname in sorted(graph.primitives_by_caller):
+        found = blocking(qname)
+        if found and not symtab.functions[qname].is_async:
+            direct[qname] = found[0]
+    reach, hop = _reverse_reach(
+        analysis, direct, kinds=(KIND_CALL,), sync_only=True
+    )
+    flagged: Set[Tuple[str, str]] = set()
+    for qname in sorted(symtab.functions):
+        fn = symtab.functions[qname]
+        if not fn.is_async or not in_scope(
+            SCOPE_SERVICE, symtab.contexts[fn.module]
+        ):
+            continue
+        for primitive in blocking(qname):
+            yield _violation(
+                analysis, fn, primitive.lineno, "RPR501",
+                f"blocking call {primitive.target}() inside 'async def "
+                f"{fn.name}' stalls the daemon's event loop; use the "
+                "asyncio equivalent or run it in an executor",
+            )
+        for edge in graph.callees(qname):
+            callee = symtab.functions.get(edge.callee)
+            if (
+                edge.kind != KIND_CALL
+                or callee is None
+                or callee.is_async
+                or edge.callee not in reach
+                or (qname, edge.callee) in flagged
+            ):
+                continue
+            flagged.add((qname, edge.callee))
+            primitive = reach[edge.callee]
+            path = _render_path(analysis, edge.callee, hop, primitive)
+            yield _violation(
+                analysis, fn, edge.lineno, "RPR501",
+                f"'async def {fn.name}' reaches blocking "
+                f"{primitive.target}() through synchronous helpers: "
+                f"{qname} -> {path}; the chain stalls the event loop — "
+                "await an async equivalent or dispatch the helper via "
+                "run_in_executor / asyncio.to_thread",
+            )
+
+
+# ---------------------------------------------------------------------
 # RPR601 — interprocedural determinism taint
 # ---------------------------------------------------------------------
 
@@ -254,7 +507,7 @@ def check_determinism_taint(analysis: Any) -> Iterator[Violation]:
         fn = symtab.functions.get(qname)
         if fn is None:
             return False
-        return symtab.contexts[fn.module].is_sim_core
+        return in_scope(SCOPE_SIM_CORE, symtab.contexts[fn.module])
 
     flagged: Set[Tuple[str, str]] = set()
     for qname in sorted(symtab.functions):
@@ -286,230 +539,6 @@ def check_determinism_taint(analysis: Any) -> Iterator[Violation]:
                     "producing output; set iteration order depends on "
                     "PYTHONHASHSEED and leaks into results — sort the "
                     "elements first",
-                )
-
-
-# ---------------------------------------------------------------------
-# RPR602 — transitive async-blocking
-# ---------------------------------------------------------------------
-
-
-@register_flow(
-    "RPR602",
-    "transitive-blocking-in-async",
-    "service coroutine reaches a blocking call through sync helpers",
-    scope=SCOPE_SERVICE,
-    rationale=(
-        "RPR501 bans blocking calls lexically inside async def; wrapping "
-        "the same time.sleep in a synchronous helper defeats it while "
-        "stalling the event loop just as thoroughly. This pass follows "
-        "plain (non-executor, non-task) call chains from every service "
-        "coroutine into synchronous project helpers and flags the first "
-        "hop whose subtree reaches a blocking primitive. Executor and "
-        "task dispatches are exempt — that is the sanctioned pattern."
-    ),
-)
-def check_transitive_blocking(analysis: Any) -> Iterator[Violation]:
-    """Flag async→sync-helper edges whose subtree blocks."""
-    symtab = analysis.symtab
-    direct: Dict[str, PrimitiveCall] = {}
-    for qname in sorted(analysis.graph.primitives_by_caller):
-        fn = symtab.functions[qname]
-        if fn.is_async:
-            continue  # lexically-async blocking is RPR501's finding
-        for primitive in analysis.graph.primitives_by_caller[qname]:
-            if primitive.category != "blocking":
-                continue
-            if _source_waived(analysis, primitive):
-                continue
-            direct.setdefault(qname, primitive)
-            break
-    reach, hop = _reverse_reach(
-        analysis, direct, kinds=(KIND_CALL,), sync_only=True
-    )
-    flagged: Set[Tuple[str, str]] = set()
-    for qname in sorted(symtab.functions):
-        fn = symtab.functions[qname]
-        if not fn.is_async:
-            continue
-        if not symtab.contexts[fn.module].in_package("repro.service"):
-            continue
-        for edge in analysis.graph.callees(qname):
-            if edge.kind != KIND_CALL:
-                continue
-            callee = symtab.functions.get(edge.callee)
-            if callee is None or callee.is_async:
-                continue
-            if edge.callee not in reach:
-                continue
-            key = (qname, edge.callee)
-            if key in flagged:
-                continue
-            flagged.add(key)
-            primitive = reach[edge.callee]
-            path = _render_path(analysis, edge.callee, hop, primitive)
-            yield _violation(
-                analysis, fn, edge.lineno, "RPR602",
-                f"'async def {fn.name}' reaches blocking "
-                f"{primitive.target}() through synchronous helpers: "
-                f"{qname} -> {path}; the chain stalls the event loop — "
-                "await an async equivalent or dispatch the helper via "
-                "run_in_executor / asyncio.to_thread",
-            )
-
-
-# ---------------------------------------------------------------------
-# RPR603 — cross-function fsync-before-rename
-# ---------------------------------------------------------------------
-
-#: Rename spellings followed across functions. ``os.replace`` is
-#: included here (unlike RPR502): per-file it is RPR201's finding, but
-#: a helper in a non-durable module publishing via os.replace without a
-#: prior fsync in the *combined* sequence is exactly the cross-function
-#: hole this pass exists to close.
-_RENAME_TARGETS = ("os.replace", "os.rename", "shutil.move")
-_RENAME_METHODS = frozenset({"rename", "replace"})
-
-
-@dataclass(frozen=True)
-class _PublishEvent:
-    """One fsync or rename in a (possibly inlined) event stream."""
-
-    kind: str  # "fsync" | "rename"
-    label: str
-    site_module: str
-    site_line: int
-
-
-def _rename_label(analysis: Any, fn: FunctionInfo,
-                  call: ast.Call) -> Optional[str]:
-    context = analysis.symtab.contexts[fn.module]
-    resolved = context.resolve(call.func)
-    if resolved in _RENAME_TARGETS:
-        return resolved
-    if resolved is not None:
-        return None
-    func = call.func
-    if (
-        isinstance(func, ast.Attribute)
-        and func.attr in _RENAME_METHODS
-        and len(call.args) == 1
-        and not call.keywords
-    ):
-        return f".{func.attr}"
-    return None
-
-
-def _durable_module(analysis: Any, module: str) -> bool:
-    context = analysis.symtab.contexts.get(module)
-    if context is None:
-        return False
-    return context.in_package("repro.durable") or context.in_package(
-        "repro.service"
-    )
-
-
-def _publish_events(
-    analysis: Any,
-    qname: str,
-    memo: Dict[str, List[_PublishEvent]],
-    stack: Set[str],
-    depth: int,
-) -> List[_PublishEvent]:
-    """Flattened fsync/rename stream of *qname* and its call subtree."""
-    cached = memo.get(qname)
-    if cached is not None:
-        return cached
-    if qname in stack or depth > _INLINE_DEPTH:
-        return []
-    fn = analysis.symtab.functions.get(qname)
-    if fn is None:
-        return []
-    stack.add(qname)
-    events: List[_PublishEvent] = []
-    for call, resolution in analysis.builder.resolve_calls(fn):
-        if resolution.spawn != KIND_CALL:
-            continue  # task/executor work is not ordered with this body
-        if resolution.kind == "external" and resolution.target == "os.fsync":
-            events.append(
-                _PublishEvent("fsync", "os.fsync", fn.module, call.lineno)
-            )
-            continue
-        label = _rename_label(analysis, fn, call)
-        if label is not None:
-            events.append(
-                _PublishEvent("rename", label, fn.module, call.lineno)
-            )
-            continue
-        if resolution.kind == "project":
-            events.extend(
-                _publish_events(analysis, resolution.target, memo,
-                                stack, depth + 1)
-            )
-    stack.discard(qname)
-    memo[qname] = events
-    return events
-
-
-@register_flow(
-    "RPR603",
-    "cross-function-unsynced-publish",
-    "durable-state code reaches a rename with no fsync ordered before it",
-    scope=SCOPE_DURABLE,
-    rationale=(
-        "RPR201/RPR502 check fsync-before-rename one function at a time, "
-        "so a durable-layer function that delegates its publish to a "
-        "helper in a non-durable module escapes both. This pass splices "
-        "callee event streams into each durable-scope function and flags "
-        "any helper-side rename with no fsync anywhere earlier in the "
-        "combined order. Renames inside durable modules stay the per-"
-        "file rules' findings and are not re-flagged here."
-    ),
-)
-def check_cross_function_publish(analysis: Any) -> Iterator[Violation]:
-    """Flag helper renames unordered after any fsync, per durable root."""
-    symtab = analysis.symtab
-    memo: Dict[str, List[_PublishEvent]] = {}
-    flagged: Set[Tuple[str, str, int]] = set()
-    for qname in sorted(symtab.functions):
-        fn = symtab.functions[qname]
-        if not _durable_module(analysis, fn.module):
-            continue
-        fsync_seen = False
-        for call, resolution in analysis.builder.resolve_calls(fn):
-            if resolution.spawn != KIND_CALL:
-                continue
-            if resolution.kind == "external" and (
-                resolution.target == "os.fsync"
-            ):
-                fsync_seen = True
-                continue
-            if _rename_label(analysis, fn, call) is not None:
-                continue  # direct renames are RPR201/RPR502 findings
-            if resolution.kind != "project":
-                continue
-            for event in _publish_events(
-                analysis, resolution.target, memo, set(), 1
-            ):
-                if event.kind == "fsync":
-                    fsync_seen = True
-                    continue
-                if fsync_seen:
-                    continue
-                if _durable_module(analysis, event.site_module):
-                    continue  # that module's own per-file finding
-                key = (qname, event.site_module, event.site_line)
-                if key in flagged:
-                    continue
-                flagged.add(key)
-                yield _violation(
-                    analysis, fn, call.lineno, "RPR603",
-                    f"durable-scope function {qname} calls "
-                    f"{resolution.target}, which publishes via "
-                    f"{event.label}() ({event.site_module}:"
-                    f"{event.site_line}) with no os.fsync ordered "
-                    "before it anywhere on the path; a crash can "
-                    "commit an empty or truncated state file",
                 )
 
 
@@ -835,7 +864,7 @@ def check_await_interleaving(analysis: Any) -> Iterator[Violation]:
         fn = symtab.functions[qname]
         if not fn.is_async or fn.class_qname is None:
             continue
-        if not symtab.contexts[fn.module].in_package("repro.service"):
+        if not in_scope(SCOPE_SERVICE, symtab.contexts[fn.module]):
             continue
         finding = _RaceWalker(analysis, fn).run()
         if finding is None:

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import asdict, dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Deque, List, Optional
 
 __all__ = ["EVENT_KINDS", "JobEvent", "EventCounters", "EventLog"]
 
@@ -98,10 +98,6 @@ class EventCounters:
     failed: int = 0
     completed: int = 0
     batches: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict snapshot (for reports and assertions)."""
-        return asdict(self)
 
     def summary(self) -> str:
         """One-line human summary of the tallies."""

@@ -7,12 +7,20 @@ analysis pass (the contract catalogue lives in
 
 * **RPR1xx determinism** — no wall-clock, unseeded RNG, OS entropy or
   randomised ``hash()`` inside the simulation core packages.
-* **RPR2xx durability/robustness** — fsync-before-``os.replace``
-  publishes; no bare or silently swallowed broad excepts.
+* **RPR2xx durability/robustness** — fsync before every rename, also
+  through helper calls; no bare or silently swallowed broad excepts.
 * **RPR3xx worker-safety** — nothing unpicklable handed to the spawn
   pool (lambdas, closures, local classes).
 * **RPR4xx telemetry hygiene** — the single-guard ``current() is None``
   fast path is never bypassed; only entry points install contexts.
+* **RPR5xx service and estimate discipline** — no blocking call reached
+  from a daemon coroutine; estimate backends build the exact engine
+  only through the dispatch seam.
+* **RPR6xx whole-program dataflow** — determinism taint across calls,
+  await-interleaving races.
+
+Rules that follow an invariant across calls run on the call graph of
+:mod:`repro.flow`; every lint run builds it from the same parse.
 
 Run it as ``repro-cli lint`` or ``python scripts/run_lint.py``.
 Suppress a waived finding with ``# repro: noqa[CODE]`` (line) or

@@ -1,45 +1,54 @@
 """Command-line front end: ``repro-cli lint`` and ``scripts/run_lint.py``.
 
 Both entries share :func:`add_arguments` / :func:`run` so the flag
-surface cannot drift. Exit codes follow the repo convention: ``0``
-clean, ``1`` violations found, ``2`` configuration/usage error.
+surface cannot drift; ``scripts/run_lint.py`` only pins the committed
+baseline and the repository root. Every run is the one pipeline of
+:mod:`repro.lint.engine`: per-file and whole-program rules over the
+same parse. Exit codes follow the repo convention: ``0`` clean, ``1``
+violations found, ``2`` configuration/usage error.
 
 Baseline semantics:
 
 * ``--baseline`` filters known violations through the committed
   baseline file (``lint-baseline.json`` by default) — CI mode.
 * ``--update-baseline`` rewrites that file to grandfather everything
-  currently found. Determinism (RPR1xx) violations refuse to baseline:
-  the simulation core must be fixed or ``noqa``-ed with justification,
-  never grandfathered.
+  currently found. Determinism (RPR1xx, RPR601) violations refuse to
+  baseline: the simulation core must be fixed or ``noqa``-ed with
+  justification, never grandfathered.
+
+Output paths: ``--callgraph-out``/``--callgraph-dot`` write the call
+graph (versioned JSON / Graphviz DOT), ``--flow-report`` the
+whole-program rules' statistics and findings as JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.lint.engine import LintResult, lint_paths, load_modules
-from repro.lint.registry import (
-    FlowRule,
-    Rule,
-    all_flow_rules,
-    all_rules,
-)
+from repro.lint.engine import LintResult, lint_paths
+from repro.lint.registry import FlowRule, Rule, all_flow_rules, all_rules
 from repro.lint.report import render_json, render_text
 from repro.lint.violation import Violation
 
-__all__ = ["add_arguments", "run", "main"]
+__all__ = ["DEFAULT_TREES", "add_arguments", "run", "main"]
+
+#: Directories linted when no paths are given.
+DEFAULT_TREES = ("src", "tests", "scripts", "benchmarks", "examples")
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the lint flag surface to *parser* (shared by entries)."""
+    # No prefix matching: a retired flag such as --flow must be an
+    # error, not silently read as --flow-report.
+    parser.allow_abbrev = False
     parser.add_argument(
         "paths", nargs="*", default=None,
-        help="files/directories to lint (default: src tests scripts)",
+        help=f"files/directories to lint (default: {' '.join(DEFAULT_TREES)})",
     )
     parser.add_argument(
         "--format", choices=["text", "json"], default="text",
@@ -67,109 +76,86 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the rule catalogue and exit",
     )
     parser.add_argument(
-        "--flow", action="store_true",
-        help="also run the whole-program flow passes (RPR6xx) over the "
-        "same parse — call-graph construction plus interprocedural "
-        "determinism/async-safety/durability checks",
-    )
-    parser.add_argument(
         "--callgraph-out", metavar="FILE", default=None,
-        help="write the call graph as versioned JSON (implies --flow)",
+        help="write the call graph as versioned JSON",
     )
     parser.add_argument(
         "--callgraph-dot", metavar="FILE", default=None,
-        help="write the call graph as Graphviz DOT (implies --flow)",
+        help="write the call graph as Graphviz DOT",
     )
-
-
-def _default_paths() -> List[str]:
-    return [p for p in ("src", "tests", "scripts") if Path(p).exists()]
-
-
-def _selected_rules(
-    select: Optional[str],
-) -> Tuple[List["Rule"], List["FlowRule"]]:
-    """Resolve ``--select`` against both rule families.
-
-    A code may live in either registry; unknown codes are a usage error
-    (exit 2). With no selection, everything in both families is active
-    (flow rules still only *run* under ``--flow``).
-    """
-    rules = all_rules()
-    flow_rules = all_flow_rules()
-    if select is None:
-        return rules, flow_rules
-    wanted = {code.strip() for code in select.split(",") if code.strip()}
-    known = {rule.code for rule in rules} | {r.code for r in flow_rules}
-    unknown = wanted - known
-    if unknown:
-        raise ConfigurationError(
-            f"unknown rule code(s) in --select: {sorted(unknown)}"
-        )
-    return (
-        [rule for rule in rules if rule.code in wanted],
-        [rule for rule in flow_rules if rule.code in wanted],
+    parser.add_argument(
+        "--flow-report", metavar="FILE", default=None,
+        help="write the whole-program rules' stats and findings as JSON",
     )
 
 
 def _list_rules() -> str:
+    rules: List[Tuple[Union[Rule, FlowRule], str]] = [
+        (rule, "") for rule in all_rules()
+    ]
+    rules += [(rule, ", flow") for rule in all_flow_rules()]
     lines = []
-    for rule in all_rules():
-        lines.append(f"{rule.code}  {rule.name} [{rule.scope}]")
+    for rule, kind in sorted(rules, key=lambda pair: pair[0].code):
+        lines.append(f"{rule.code}  {rule.name} [{rule.scope}{kind}]")
         lines.append(f"    {rule.summary}")
-    for flow_rule in all_flow_rules():
-        lines.append(
-            f"{flow_rule.code}  {flow_rule.name} [{flow_rule.scope}, flow]"
-        )
-        lines.append(f"    {flow_rule.summary}")
     return "\n".join(lines)
 
 
-def run(args: argparse.Namespace) -> int:
-    """Execute one lint invocation from parsed *args*."""
+def _write_exports(args: argparse.Namespace, result: LintResult) -> None:
+    """Write the requested call-graph and flow-report files."""
+    from repro.flow.export import callgraph_dot, callgraph_json
+
+    flow = result.flow
+    if args.callgraph_out:
+        Path(args.callgraph_out).write_text(
+            callgraph_json(flow.analysis), encoding="utf-8"
+        )
+    if args.callgraph_dot:
+        Path(args.callgraph_dot).write_text(
+            callgraph_dot(flow.analysis), encoding="utf-8"
+        )
+    if args.flow_report:
+        report = {
+            "stats": flow.stats,
+            "findings": [
+                {"path": v.path, "line": v.line, "code": v.code,
+                 "message": v.message}
+                for v in flow.violations
+            ],
+        }
+        Path(args.flow_report).write_text(
+            json.dumps(report, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+
+
+def run(
+    args: argparse.Namespace, root: Optional[Union[str, Path]] = None
+) -> int:
+    """Execute one lint invocation from parsed *args*.
+
+    *root* anchors the default trees and the reported paths (default:
+    the current directory).
+    """
     if args.list_rules:
         print(_list_rules())
         return 0
-    paths: Sequence[str] = args.paths or _default_paths()
+    base = Path(root) if root is not None else Path.cwd()
+    paths: Sequence[Union[str, Path]] = args.paths or [
+        base / tree for tree in DEFAULT_TREES if (base / tree).exists()
+    ]
     if not paths:
-        print("error: no paths given and no src/tests/scripts directory here")
+        print(f"error: no paths given and none of {DEFAULT_TREES} here")
         return 2
-    flow_requested = bool(
-        getattr(args, "flow", False)
-        or getattr(args, "callgraph_out", None)
-        or getattr(args, "callgraph_dot", None)
-    )
-    flow_result = None
+    select: Optional[List[str]] = None
+    if args.select is not None:
+        select = [c.strip() for c in args.select.split(",") if c.strip()]
     try:
-        rules, flow_rules = _selected_rules(args.select)
-        # Parse once: the same loaded modules feed the per-file rules
-        # and (under --flow) the whole-program passes and exporters.
-        modules = load_modules(paths)
-        result = lint_paths(paths, rules=rules, modules=modules)
-        if flow_requested:
-            from repro.flow import Program, analyze, run_flow
-            from repro.flow.export import callgraph_dot, callgraph_json
-
-            program = Program(modules)
-            analysis = analyze(program)
-            flow_result = run_flow(
-                program, rules=flow_rules, analysis=analysis
-            )
-            result = LintResult(
-                sorted(result.violations + flow_result.violations),
-                result.files_scanned,
-            )
-            if args.callgraph_out:
-                Path(args.callgraph_out).write_text(
-                    callgraph_json(analysis), encoding="utf-8"
-                )
-            if args.callgraph_dot:
-                Path(args.callgraph_dot).write_text(
-                    callgraph_dot(analysis), encoding="utf-8"
-                )
+        result = lint_paths(paths, select=select, root=base)
     except ConfigurationError as exc:
         print(f"error: {exc}")
         return 2
+    _write_exports(args, result)
 
     if args.update_baseline:
         try:
@@ -192,25 +178,19 @@ def run(args: argparse.Namespace) -> int:
             print(f"error: {exc}")
             return 2
         fresh, baselined = baseline.split(result.violations)
-        result = LintResult(fresh, result.files_scanned)
+        result = LintResult(fresh, result.files_scanned, result.flow)
 
     if args.format == "json":
         print(render_json(result, baselined))
     else:
         print(render_text(result, baselined))
-        if flow_result is not None:
-            stats = flow_result.stats
-            print(
-                f"flow: {stats['modules']} modules, "
-                f"{stats['functions']} functions, "
-                f"{stats['call_edges']} call edges, "
-                f"{stats['unresolved_calls']} unresolved calls, "
-                f"{stats['findings']} finding(s)"
-            )
     return 0 if result.ok else 1
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(
+    argv: Optional[Sequence[str]] = None,
+    root: Optional[Union[str, Path]] = None,
+) -> int:
     """Standalone entry point (``python -m repro.lint.cli``)."""
     parser = argparse.ArgumentParser(
         prog="repro-lint",
@@ -218,7 +198,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "worker-safety, telemetry hygiene (docs/static-analysis.md)",
     )
     add_arguments(parser)
-    return run(parser.parse_args(argv))
+    return run(parser.parse_args(argv), root=root)
 
 
 if __name__ == "__main__":

@@ -100,6 +100,17 @@ class ModuleContext:
         )
         self._aliases: Optional[Dict[str, str]] = None
         self._bound_names: Optional[frozenset] = None
+        self._nodes: Optional[Tuple[ast.AST, ...]] = None
+
+    @property
+    def nodes(self) -> Tuple[ast.AST, ...]:
+        """Every node of the tree in :func:`ast.walk` order, walked once.
+
+        Rules iterate this instead of re-walking the tree each.
+        """
+        if self._nodes is None:
+            self._nodes = tuple(ast.walk(self.tree))
+        return self._nodes
 
     # -- package classification -------------------------------------
 
@@ -128,7 +139,7 @@ class ModuleContext:
         package = ""
         if self.module is not None:
             package = self.module.rsplit(".", 1)[0] if "." in self.module else ""
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".", 1)[0]
@@ -157,7 +168,7 @@ class ModuleContext:
         """
         if self._bound_names is None:
             bound = set(self.aliases)
-            for node in ast.walk(self.tree):
+            for node in self.nodes:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                     bound.add(node.name)

@@ -1,18 +1,15 @@
 """The lint engine: file discovery, rule dispatch, suppression filtering.
 
 One :func:`lint_paths` call is one lint run: discover ``.py`` files,
-parse each once into a :class:`~repro.lint.context.ModuleContext`, run
-every registered rule whose scope covers the module, drop violations
+parse each once into a :class:`LoadedModule`, run every per-file rule
+whose scope covers the module, then run the whole-program flow rules
+(:mod:`repro.flow`) over the same loaded modules, drop violations
 waived by ``# repro: noqa[...]`` comments, and return the sorted
-remainder in a :class:`LintResult`. Baseline filtering is deliberately
-*not* done here — the CLI layer owns the baseline so programmatic users
-(tests, the self-check) always see the full picture.
-
-Parse-once sharing: :func:`load_modules` materialises the tree as
-:class:`LoadedModule` objects (parsed context + lazily built
-suppression index) that both this engine (:func:`lint_modules`) and the
-whole-program flow analyser (:mod:`repro.flow`) consume, so a combined
-``lint --flow`` run parses each file exactly once.
+remainder in a :class:`LintResult`. The set of modules is whatever was
+loaded — the full tree, the files a pre-commit hook passes, or one test
+snippet — and every rule runs over it. Baseline filtering is
+deliberately *not* done here — the CLI layer owns the baseline so
+programmatic users (tests, the self-check) always see the full picture.
 
 Unparseable files are reported as ``RPR001`` violations rather than
 crashing the run: a syntax error in one file must not hide violations
@@ -22,12 +19,26 @@ in the other two hundred.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Collection,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from repro.errors import ConfigurationError
 from repro.lint.context import ModuleContext
-from repro.lint.registry import Rule, all_rules
+from repro.lint.registry import FlowRule, Rule, all_flow_rules, all_rules
 from repro.lint.suppress import SuppressionIndex
 from repro.lint.violation import Violation
+
+if TYPE_CHECKING:
+    from repro.flow.engine import FlowResult
 
 __all__ = ["PARSE_ERROR_CODE", "DEFAULT_EXCLUDED_PARTS", "LintResult",
            "LoadedModule", "iter_source_files", "load_modules",
@@ -105,13 +116,21 @@ class LoadedModule:
 
 
 class LintResult:
-    """Outcome of one lint run."""
+    """Outcome of one lint run.
+
+    *flow* is the whole-program half of the run: its call graph and
+    statistics, for the exporters and the report.
+    """
 
     def __init__(
-        self, violations: List[Violation], files_scanned: int
+        self,
+        violations: List[Violation],
+        files_scanned: int,
+        flow: "FlowResult",
     ) -> None:
         self.violations = violations
         self.files_scanned = files_scanned
+        self.flow = flow
 
     @property
     def ok(self) -> bool:
@@ -199,63 +218,88 @@ def load_modules(
     return modules
 
 
-def _lint_one(
-    module: LoadedModule, rules: Optional[Sequence[Rule]]
-) -> List[Violation]:
+def _select_rules(
+    select: Optional[Collection[str]] = None,
+) -> Tuple[List[Rule], List[FlowRule]]:
+    """The per-file and flow rules named by *select* (default: all).
+
+    A code may live in either registry; unknown codes raise
+    :class:`~repro.errors.ConfigurationError` (a usage error).
+    """
+    rules = all_rules()
+    flow_rules = all_flow_rules()
+    if select is None:
+        return rules, flow_rules
+    wanted = set(select)
+    unknown = wanted - {r.code for r in rules} - {r.code for r in flow_rules}
+    if unknown:
+        raise ConfigurationError(f"unknown rule code(s): {sorted(unknown)}")
+    return (
+        [rule for rule in rules if rule.code in wanted],
+        [rule for rule in flow_rules if rule.code in wanted],
+    )
+
+
+def _lint_one(module: LoadedModule, rules: Sequence[Rule]) -> List[Violation]:
     """Run the per-file rules over one loaded module."""
     if module.context is None:
         assert module.error is not None
         return [module.error]
     context = module.context
-    active = all_rules() if rules is None else list(rules)
     found: List[Violation] = []
-    for rule in active:
+    for rule in rules:
         if rule.applies_to(context):
             found.extend(rule.check(context))
     suppressions = module.suppressions
     kept = [v for v in found if not suppressions.is_suppressed(v)]
     kept.extend(suppressions.malformed)
-    return sorted(kept)
+    return kept
 
 
 def lint_modules(
     modules: Sequence[LoadedModule],
-    rules: Optional[Sequence[Rule]] = None,
+    select: Optional[Collection[str]] = None,
 ) -> LintResult:
-    """Run the per-file rules over already-loaded modules (parse-once)."""
+    """Run every selected rule over already-loaded modules (parse-once).
+
+    Per-file rules see one module at a time; the flow rules then see
+    all of *modules* as one program, built from the same parsed ASTs.
+    """
+    # Deferred: repro.flow builds on this module's LoadedModule.
+    from repro.flow import Program, run_flow
+
+    rules, flow_rules = _select_rules(select)
     violations: List[Violation] = []
     for module in modules:
         violations.extend(_lint_one(module, rules))
-    return LintResult(sorted(violations), len(modules))
+    flow = run_flow(Program(modules), rules=flow_rules)
+    return LintResult(
+        sorted(violations + flow.violations), len(modules), flow
+    )
 
 
 def lint_source(
     path: Union[str, Path],
     source: str,
     module: Optional[str] = None,
-    rules: Optional[Sequence[Rule]] = None,
+    select: Optional[Collection[str]] = None,
 ) -> List[Violation]:
     """Lint one in-memory module; the unit every test builds on.
 
     *module* overrides the package classification (fixtures pretend to
-    live in ``repro.perf`` etc.); *rules* restricts the rule set.
+    live in ``repro.perf`` etc.); *select* restricts the rule codes.
     """
-    return _lint_one(LoadedModule.parse(path, source, module=module), rules)
+    loaded = LoadedModule.parse(path, source, module=module)
+    return lint_modules([loaded], select=select).violations
 
 
 def lint_paths(
     paths: Sequence[Union[str, Path]],
-    rules: Optional[Sequence[Rule]] = None,
+    select: Optional[Collection[str]] = None,
     excluded_parts: Sequence[str] = DEFAULT_EXCLUDED_PARTS,
     root: Optional[Union[str, Path]] = None,
-    modules: Optional[Sequence[LoadedModule]] = None,
 ) -> LintResult:
-    """Lint every source file under *paths*.
-
-    Pass *modules* (from :func:`load_modules`) to reuse an existing
-    parse — the combined ``lint --flow`` path does, so each file is
-    parsed exactly once per run.
-    """
-    if modules is None:
-        modules = load_modules(paths, excluded_parts, root=root)
-    return lint_modules(modules, rules=rules)
+    """Lint every source file under *paths* as one program."""
+    return lint_modules(
+        load_modules(paths, excluded_parts, root=root), select=select
+    )

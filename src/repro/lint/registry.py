@@ -8,15 +8,19 @@ the invariant family (the catalogue in ``docs/static-analysis.md``):
 * ``RPR2xx`` — durability / robustness
 * ``RPR3xx`` — worker-safety (spawn-pool picklability)
 * ``RPR4xx`` — telemetry hygiene
-* ``RPR5xx`` — service responsiveness and durable-state discipline
-  (``repro.service`` / ``repro.durable``)
+* ``RPR5xx`` — service responsiveness and estimate-backend discipline
+* ``RPR6xx`` — whole-program dataflow (determinism taint, await races)
+
+Two rule kinds share one code namespace: per-file :class:`Rule` checks
+see one :class:`~repro.lint.context.ModuleContext`, whole-program
+:class:`FlowRule` checks see the call graph of every loaded module.
+Both run on every lint invocation (:mod:`repro.lint.engine`).
 
 Scopes keep package-level policy out of the rules themselves: a rule
 declares *where it applies* (``sim-core``, ``non-telemetry``,
-``service``, ``durable``, ``all``)
-and the engine consults :class:`~repro.lint.context.ModuleContext` for
-the module's package. This is how wall-clock stays legal in
-``repro.jobs`` and ``repro.telemetry`` — by package scope, not by
+``service``, ``durable``, ``estimate``, ``all``) and :func:`in_scope`
+answers that question for a module. This is how wall-clock stays legal
+in ``repro.jobs`` and ``repro.telemetry`` — by package scope, not by
 ``noqa`` comments sprinkled over the allowlisted files.
 """
 
@@ -36,6 +40,7 @@ __all__ = [
     "SCOPE_SERVICE",
     "SCOPE_DURABLE",
     "SCOPE_ESTIMATE",
+    "in_scope",
     "Rule",
     "FlowRule",
     "register",
@@ -69,6 +74,27 @@ _VALID_SCOPES = (
 )
 
 
+def in_scope(scope: str, module: ModuleContext) -> bool:
+    """Whether *scope* covers *module*'s package.
+
+    The one scope predicate: per-file rules consult it through
+    :meth:`Rule.applies_to`, flow rules call it per function module.
+    """
+    if scope == SCOPE_SIM_CORE:
+        return module.is_sim_core
+    if scope == SCOPE_NON_TELEMETRY:
+        return not module.in_package("repro.telemetry")
+    if scope == SCOPE_SERVICE:
+        return module.in_package("repro.service")
+    if scope == SCOPE_DURABLE:
+        return module.in_package("repro.durable") or module.in_package(
+            "repro.service"
+        )
+    if scope == SCOPE_ESTIMATE:
+        return module.in_package("repro.estimate")
+    return True
+
+
 @dataclass(frozen=True)
 class Rule:
     """One registered invariant check."""
@@ -83,32 +109,19 @@ class Rule:
 
     def applies_to(self, module: ModuleContext) -> bool:
         """Whether this rule's scope covers *module*'s package."""
-        if self.scope == SCOPE_SIM_CORE:
-            return module.is_sim_core
-        if self.scope == SCOPE_NON_TELEMETRY:
-            return not module.in_package("repro.telemetry")
-        if self.scope == SCOPE_SERVICE:
-            return module.in_package("repro.service")
-        if self.scope == SCOPE_DURABLE:
-            return module.in_package("repro.durable") or module.in_package(
-                "repro.service"
-            )
-        if self.scope == SCOPE_ESTIMATE:
-            return module.in_package("repro.estimate")
-        return True
+        return in_scope(self.scope, module)
 
 
 @dataclass(frozen=True)
 class FlowRule:
-    """One registered *whole-program* invariant check (RPR6xx family).
+    """One registered *whole-program* invariant check.
 
     Unlike :class:`Rule`, the check receives a ``FlowAnalysis``
     (:mod:`repro.flow.engine`) — symbol table, call graph, and loaded
     modules — instead of one module context, so it can follow an
-    invariant across function and module boundaries. The ``scope``
-    string is descriptive (which packages the rule attributes findings
-    to); scoping is applied *inside* the pass, where the analysis knows
-    each function's package.
+    invariant across function and module boundaries. Scoping is applied
+    *inside* the pass with :func:`in_scope`, where the analysis knows
+    each function's module.
     """
 
     code: str

@@ -1,7 +1,8 @@
 """Text and JSON reporters for lint results.
 
 The text reporter is for humans and CI logs: one ``path:line:col: CODE
-message`` line per violation, a per-code tally, and the baseline
+message`` line per violation, the call-graph size, and a closing
+``OK:``/``FAIL:`` verdict line with a per-code tally and the baseline
 accounting (how many known violations were skipped). The JSON reporter
 is for tooling: a versioned document with the same information in
 machine shape, written to stdout so it can be piped.
@@ -36,6 +37,13 @@ def render_text(result: LintResult, baselined: Sequence[Violation]) -> str:
     lines: List[str] = [v.format() for v in result.violations]
     if lines:
         lines.append("")
+    stats = result.flow.stats
+    lines.append(
+        f"flow: {stats['modules']} modules, "
+        f"{stats['functions']} functions, "
+        f"{stats['call_edges']} call edges, "
+        f"{stats['unresolved_calls']} unresolved calls"
+    )
     tally = ", ".join(f"{code}={count}" for code, count in result.by_code())
     status = "FAIL" if result.violations else "OK"
     lines.append(

@@ -115,7 +115,7 @@ def _is_unseeded(node: ast.Call) -> bool:
 )
 def check_wall_clock(module: ModuleContext) -> Iterator[Violation]:
     """Flag clock reads (time.*, datetime.now) in the core."""
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
         resolved = module.resolve_call(node)
@@ -144,7 +144,7 @@ def check_wall_clock(module: ModuleContext) -> Iterator[Violation]:
 )
 def check_unseeded_rng(module: ModuleContext) -> Iterator[Violation]:
     """Flag global-state or unseeded RNG construction/draws."""
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
         resolved = module.resolve_call(node)
@@ -193,7 +193,7 @@ def check_unseeded_rng(module: ModuleContext) -> Iterator[Violation]:
 )
 def check_entropy(module: ModuleContext) -> Iterator[Violation]:
     """Flag os.urandom/secrets/uuid entropy sources."""
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
         resolved = module.resolve_call(node)
@@ -218,7 +218,7 @@ def check_entropy(module: ModuleContext) -> Iterator[Violation]:
 )
 def check_builtin_hash(module: ModuleContext) -> Iterator[Violation]:
     """Flag calls to the randomised builtin ``hash()``."""
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
         if module.resolve_call(node) == "hash":

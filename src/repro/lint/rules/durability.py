@@ -2,14 +2,10 @@
 
 The robustness layer's contract (docs/robustness.md): a crash may cost
 recomputation but must never corrupt a result, and a fault must never
-be swallowed invisibly. Two syntactic patterns carry most of that
-contract, so they are enforced here:
+be swallowed invisibly. The fsync-before-rename half of that contract
+(RPR201) follows publishes across calls, so it is a whole-program rule
+in :mod:`repro.flow.rules`. The per-file half lives here:
 
-* **Publish-after-fsync** — ``os.replace`` is the commit point of every
-  atomic-write protocol in the tree (result cache, exporters). Without
-  an ``os.fsync`` before it, a power loss after the rename can surface
-  a committed-but-empty file — the exact torn state the protocol
-  exists to rule out.
 * **No silent swallowing** — a bare ``except:`` (RPR202) or a broad
   ``except Exception:`` whose body neither re-raises, nor logs, nor
   even reads the exception (RPR203) turns faults into silence. Sink
@@ -58,76 +54,6 @@ def _violation(
         message=message,
         source=module.source_line(lineno),
     )
-
-
-def _direct_calls(
-    function: ast.AST, module: ModuleContext
-) -> Tuple[List[int], List[int]]:
-    """``(fsync_lines, replace_lines)`` called directly by *function*.
-
-    Nested ``def``/``class`` bodies are skipped — they are analysed as
-    their own scopes, so an outer fsync never excuses an inner replace
-    (or vice versa).
-    """
-    fsyncs: List[int] = []
-    replaces: List[int] = []
-
-    def visit(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            if isinstance(child, ast.Call):
-                resolved = module.resolve_call(child)
-                if resolved == "os.fsync":
-                    fsyncs.append(child.lineno)
-                elif resolved == "os.replace":
-                    replaces.append(child.lineno)
-            visit(child)
-
-    visit(function)
-    return fsyncs, replaces
-
-
-@register(
-    "RPR201",
-    "replace-without-fsync",
-    "os.replace without a preceding os.fsync in the same function",
-    scope=SCOPE_ALL,
-    rationale=(
-        "os.replace publishes a file atomically, but only fsync-then-"
-        "replace makes the publish durable: without the fsync a power "
-        "loss can expose a committed-but-empty entry."
-    ),
-)
-def check_replace_without_fsync(module: ModuleContext) -> Iterator[Violation]:
-    """Flag os.replace publishes with no earlier os.fsync in scope."""
-    scopes = [
-        node
-        for node in ast.walk(module.tree)
-        if isinstance(
-            node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
-        )
-    ]
-    for scope in scopes:
-        fsync_lines, replace_lines = _direct_calls(scope, module)
-        first_fsync = min(fsync_lines) if fsync_lines else None
-        for replace_line in replace_lines:
-            if first_fsync is None or first_fsync > replace_line:
-                yield Violation(
-                    path=module.path,
-                    line=replace_line,
-                    col=1,
-                    code="RPR201",
-                    message=(
-                        "os.replace publishes without a preceding os.fsync "
-                        "in this function; a crash can expose a torn or "
-                        "empty committed file (write-tmp, flush, fsync, "
-                        "then replace)"
-                    ),
-                    source=module.source_line(replace_line),
-                )
 
 
 def _handler_swallows(
@@ -181,7 +107,7 @@ def _broad_names(handler: ast.ExceptHandler) -> Optional[str]:
 )
 def check_bare_except(module: ModuleContext) -> Iterator[Violation]:
     """Flag ``except:`` with no exception type."""
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, ast.ExceptHandler) and node.type is None:
             yield _violation(
                 module, node, "RPR202",
@@ -208,7 +134,7 @@ def check_swallowed_broad_except(
     """Flag broad handlers that drop the fault invisibly."""
     if module.module in SINK_ISOLATION_MODULES:
         return
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.ExceptHandler):
             continue
         broad = _broad_names(node)

@@ -69,7 +69,7 @@ def check_estimate_direct_simulator(
     """Flag exact-simulator constructions outside the dispatch module."""
     if module.module == DISPATCH_MODULE:
         return
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, ast.Call) and _constructs_simulator(node, module):
             yield Violation(
                 path=module.path,

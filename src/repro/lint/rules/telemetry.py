@@ -72,7 +72,7 @@ def _violation(
 )
 def check_guard_bypass(module: ModuleContext) -> Iterator[Violation]:
     """Flag ``current().attr`` chains that skip the None guard."""
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Attribute):
             continue
         base = node.value
@@ -102,7 +102,7 @@ def check_guard_bypass(module: ModuleContext) -> Iterator[Violation]:
 )
 def check_install_in_sim_core(module: ModuleContext) -> Iterator[Violation]:
     """Flag configure()/deactivate()/init_from_env() in the core."""
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
         resolved = module.resolve_call(node)

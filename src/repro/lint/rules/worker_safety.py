@@ -160,7 +160,7 @@ def _local_definitions(function: ast.AST) -> Set[str]:
 )
 def check_lambda_into_worker(module: ModuleContext) -> Iterator[Violation]:
     """Flag lambdas whose value would be pickled to a worker."""
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call) or not _is_worker_api(node, module):
             continue
         for arg in _crossing_args(node):
@@ -191,7 +191,7 @@ def check_local_callable_into_worker(
     """Flag enclosing-scope callables handed to worker APIs."""
     functions = [
         node
-        for node in ast.walk(module.tree)
+        for node in module.nodes
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
     # Nested scopes are walked by their enclosing function too; dedupe
@@ -250,7 +250,7 @@ def check_bare_sleep_retry_loop(module: ModuleContext) -> Iterator[Violation]:
     if module.in_package("repro.supervise"):
         return
     reported: Set[Tuple[int, int]] = set()
-    for loop in ast.walk(module.tree):
+    for loop in module.nodes:
         if not isinstance(loop, (ast.While, ast.For, ast.AsyncFor)):
             continue
         for node in ast.walk(loop):

@@ -12,7 +12,9 @@ of *other* rules on the same line and is rejected):
 Policy (docs/static-analysis.md): a suppression must sit next to a
 comment explaining *why* the invariant does not apply at that site —
 the linter cannot check prose, but review can, and the explicit-code
-requirement at least pins what is being waived.
+requirement at least pins what is being waived. A code that no rule
+registers (a typo, or a retired rule) waives nothing and is reported as
+``RPR002`` too, so stale waivers cannot linger.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ import re
 import tokenize
 from typing import Dict, Iterator, List, Set, Tuple
 
+from repro.lint.registry import flow_rule_codes, rule_codes
 from repro.lint.violation import Violation
 
 __all__ = ["SuppressionIndex", "MALFORMED_CODE"]
 
 #: Reported when a ``repro: noqa`` comment has no ``[CODES]`` list —
-#: blanket suppressions are a policy violation themselves.
+#: blanket suppressions are a policy violation themselves — or names a
+#: code no rule registers.
 MALFORMED_CODE = "RPR002"
 
 _NOQA = re.compile(
@@ -61,6 +65,7 @@ class SuppressionIndex:
         self.file_codes: Set[str] = set()
         self.malformed: List[Violation] = []
         text = source if source else "\n".join(lines) + "\n"
+        known = set(rule_codes()) | set(flow_rule_codes())
         for lineno, col, comment in _comment_tokens(text):
             for match in _NOQA.finditer(comment):
                 raw = match.group("codes")
@@ -69,20 +74,31 @@ class SuppressionIndex:
                     if raw
                     else set()
                 )
+                message = ""
                 if not codes:
+                    message = (
+                        "blanket 'repro: noqa' without rule codes; "
+                        "name what you suppress: repro: noqa[RPRxxx]"
+                    )
+                elif codes - known:
+                    message = (
+                        f"'repro: noqa' names unknown rule code(s) "
+                        f"{sorted(codes - known)}; a retired or mistyped "
+                        "code waives nothing (see repro-cli lint "
+                        "--list-rules)"
+                    )
+                if message:
                     self.malformed.append(
                         Violation(
                             path=path,
                             line=lineno,
                             col=col + match.start() + 1,
                             code=MALFORMED_CODE,
-                            message=(
-                                "blanket 'repro: noqa' without rule codes; "
-                                "name what you suppress: repro: noqa[RPRxxx]"
-                            ),
+                            message=message,
                             source=comment.strip(),
                         )
                     )
+                if not codes:
                     continue
                 if match.group("file"):
                     self.file_codes |= codes

@@ -403,10 +403,6 @@ class MixResult:
         worst = self.worst_time(name)
         return (worst - self.best_time(name)) / worst
 
-    def regret(self, name: str) -> float:
-        """How far the chosen schedule is from the oracle."""
-        return self.oracle_improvement(name) - self.improvement(name)
-
 
 def _phase1_scheduler_default(machine: MachineConfig) -> SchedulerConfig:
     """The standard phase-1 scheduler (long quanta, smoothed contexts).

@@ -410,7 +410,7 @@ class SchedulerService:
             # synchronously before the event is applied; _run is the
             # single consumer task, so the bounded stall is the
             # documented durability/latency trade, not a hazard.
-            result = self._handle(event)  # repro: noqa[RPR602]
+            result = self._handle(event)  # repro: noqa[RPR501]
             if self._heartbeat_board is not None:
                 heartbeat.tick(
                     f"service:{getattr(event, 'kind', 'unknown')}"

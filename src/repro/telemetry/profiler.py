@@ -62,10 +62,6 @@ class PhaseProfile:
         """Accumulated operation count of one phase."""
         return self._ops[phase]
 
-    def total_seconds(self) -> float:
-        """Wall seconds across all phases."""
-        return sum(self._seconds.values())
-
     def emit_spans(self, tracer: Tracer, start: float) -> None:
         """Record one aggregate child span per non-empty phase.
 

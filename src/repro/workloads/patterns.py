@@ -224,11 +224,6 @@ class PhasedGenerator(TraceGenerator):
         self._phase_index = 0
         self._remaining = self.phases[0][1]
 
-    @property
-    def current_phase(self) -> int:
-        """Index of the active phase (for test/figure instrumentation)."""
-        return self._phase_index
-
     def _generate(self, n: int) -> np.ndarray:
         out: List[np.ndarray] = []
         needed = n

@@ -75,7 +75,6 @@ class TestProfileTrace:
         assert prof.refs == 5
         assert prof.distinct_blocks == 3
         assert prof.reuse_times.tolist() == [1, 2]
-        assert prof.cold_fraction == pytest.approx(3 / 5)
 
     def test_hits_within(self):
         prof = profile_trace("t", np.array([0, 0, 1, 0, 1]))

@@ -31,7 +31,7 @@ def make_program(*files):
 def flow_violations(*files, select=None):
     """Run flow passes over inline sources; return the violations.
 
-    *select* restricts to the given codes (e.g. ``("RPR602",)``).
+    *select* restricts to the given codes (e.g. ``("RPR501",)``).
     """
     rules = [
         rule

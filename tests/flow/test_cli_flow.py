@@ -1,10 +1,13 @@
-"""The ``--flow`` CLI surface: exit codes, selection, exports, baseline.
+"""Flow findings through the CLI: exit codes, selection, exports, baseline.
 
 Each test builds a miniature ``src/repro`` tree in a temp directory and
-drives :func:`repro.lint.cli.main` exactly as CI does.
+drives :func:`repro.lint.cli.main` exactly as CI does. The whole-program
+rules run on every invocation; there is no switch to turn them on.
 """
 
 import json
+
+import pytest
 
 from repro.lint.cli import main as lint_main
 
@@ -47,7 +50,7 @@ def _write_tree(tmp_path, tree):
 def test_flow_findings_exit_one(tmp_path, monkeypatch, capsys):
     _write_tree(tmp_path, TAINTED_TREE)
     monkeypatch.chdir(tmp_path)
-    rc = lint_main(["src", "--flow", "--select", "RPR601"])
+    rc = lint_main(["src", "--select", "RPR601"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "RPR601" in out
@@ -59,20 +62,10 @@ def test_clean_tree_exits_zero_with_flow_summary(
 ):
     _write_tree(tmp_path, CLEAN_TREE)
     monkeypatch.chdir(tmp_path)
-    rc = lint_main(["src", "--flow"])
+    rc = lint_main(["src"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "flow: 1 modules" in out
-
-
-def test_without_flow_the_planted_chain_is_invisible(
-    tmp_path, monkeypatch, capsys
-):
-    _write_tree(tmp_path, TAINTED_TREE)
-    monkeypatch.chdir(tmp_path)
-    rc = lint_main(["src"])
-    capsys.readouterr()
-    assert rc == 0
 
 
 def test_select_unknown_code_is_a_usage_error(
@@ -80,18 +73,36 @@ def test_select_unknown_code_is_a_usage_error(
 ):
     _write_tree(tmp_path, CLEAN_TREE)
     monkeypatch.chdir(tmp_path)
-    rc = lint_main(["src", "--flow", "--select", "RPR999"])
+    rc = lint_main(["src", "--select", "RPR999"])
     out = capsys.readouterr().out
     assert rc == 2
     assert "RPR999" in out
+
+
+def test_retired_codes_are_unknown(tmp_path, monkeypatch, capsys):
+    # RPR502/RPR603 folded into RPR201 and RPR602 into RPR501.
+    _write_tree(tmp_path, CLEAN_TREE)
+    monkeypatch.chdir(tmp_path)
+    for code in ("RPR502", "RPR602", "RPR603"):
+        assert lint_main(["src", "--select", code]) == 2
+        assert code in capsys.readouterr().out
+
+
+def test_flow_switch_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        lint_main(["--flow", "src"])
+    capsys.readouterr()
+    assert exc.value.code == 2
 
 
 def test_list_rules_includes_the_flow_family(capsys):
     rc = lint_main(["--list-rules"])
     out = capsys.readouterr().out
     assert rc == 0
-    for code in ("RPR601", "RPR602", "RPR603", "RPR604"):
+    for code in ("RPR201", "RPR501", "RPR601", "RPR604"):
         assert code in out
+    for retired in ("RPR502", "RPR602", "RPR603"):
+        assert retired not in out
     assert "flow]" in out
 
 
@@ -100,8 +111,8 @@ def test_callgraph_exports_imply_flow(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     json_out = tmp_path / "callgraph.json"
     dot_out = tmp_path / "callgraph.dot"
-    # No --flow flag: the export flags alone must trigger the analysis,
-    # which also means the planted finding is reported (exit 1).
+    # The export flags write the graph the lint run built; the planted
+    # finding is reported as well (exit 1).
     rc = lint_main(
         [
             "src",
@@ -135,7 +146,7 @@ def test_update_baseline_refuses_flow_determinism_findings(
     _write_tree(tmp_path, TAINTED_TREE)
     monkeypatch.chdir(tmp_path)
     rc = lint_main(
-        ["src", "--flow", "--select", "RPR601", "--update-baseline"]
+        ["src", "--select", "RPR601", "--update-baseline"]
     )
     out = capsys.readouterr().out
     assert rc == 2
@@ -154,7 +165,7 @@ def test_baseline_filter_passes_flow_findings_through(
     )
     monkeypatch.chdir(tmp_path)
     rc = lint_main(
-        ["src", "--flow", "--select", "RPR601", "--baseline"]
+        ["src", "--select", "RPR601", "--baseline"]
     )
     out = capsys.readouterr().out
     assert rc == 1

@@ -1,8 +1,8 @@
-"""RPR603 — cross-function fsync-before-rename.
+"""RPR201 across functions: fsync-before-rename in the flattened stream.
 
-The per-file RPR201/RPR502 rules check one function at a time; these
-cases split the fsync and the rename across functions and modules, so
-only the spliced whole-program event stream can order them.
+These cases split the fsync and the rename across functions and
+modules, so only the spliced whole-program event stream can order
+them. A finding in a caller is reported at its call into the chain.
 """
 
 from tests.flow.conftest import codes_of, flow_violations
@@ -10,9 +10,9 @@ from tests.flow.conftest import codes_of, flow_violations
 from repro.lint import lint_source
 
 #: A publish helper OUTSIDE the durable packages. It uses ``os.rename``
-#: deliberately: RPR201 only audits ``os.replace`` (everywhere) and
-#: RPR502 only applies inside the durable packages, so this spelling in
-#: this module is invisible to every per-file rule.
+#: deliberately: outside the durable scope RPR201 audits only the
+#: ``os.replace`` spelling, so the helper itself is clean, and only a
+#: durable caller's flattened stream is in scope for this rename.
 NAKED_PUBLISHER = (
     "repro.io.atomic",
     '"""Publish helper outside the durable scope."""\n'
@@ -33,18 +33,19 @@ def test_unsynced_helper_rename_flags_at_durable_root():
         "    publish(tmp, final)\n",
     )
     violations = flow_violations(
-        NAKED_PUBLISHER, caller, select=("RPR603",)
+        NAKED_PUBLISHER, caller, select=("RPR201",)
     )
-    assert codes_of(violations) == ["RPR603"]
+    assert codes_of(violations) == ["RPR201"]
     v = violations[0]
-    assert v.path == "src/repro/durable/store.py"
+    assert (v.path, v.line) == ("src/repro/durable/store.py", 5)
     assert "os.rename" in v.message
     assert "repro.io.atomic" in v.message
 
 
 def test_per_file_rules_provably_cannot_catch_it():
-    # The durable module has no rename; the helper module is outside
-    # RPR502's scope (and fsyncless os.replace there is legal).
+    # Either file linted alone is clean: the durable module has no
+    # rename, and the helper's os.rename is outside the durable scope.
+    # The finding needs both modules in one run.
     caller_module = "repro.durable.store"
     caller_source = (
         '"""Durable code delegating its publish."""\n'
@@ -72,7 +73,7 @@ def test_fsync_in_root_before_the_call_orders_the_publish():
         "    publish(tmp, final)\n",
     )
     assert (
-        flow_violations(NAKED_PUBLISHER, caller, select=("RPR603",)) == []
+        flow_violations(NAKED_PUBLISHER, caller, select=("RPR201",)) == []
     )
 
 
@@ -94,7 +95,7 @@ def test_fsync_inside_helper_before_rename_is_clean():
         '    """Helper owns the ordering."""\n'
         "    publish(fd, tmp, final)\n",
     )
-    assert flow_violations(helper, caller, select=("RPR603",)) == []
+    assert flow_violations(helper, caller, select=("RPR201",)) == []
 
 
 def test_fsync_after_the_call_does_not_excuse_it():
@@ -109,24 +110,47 @@ def test_fsync_after_the_call_does_not_excuse_it():
         "    os.fsync(fd)\n",
     )
     violations = flow_violations(
-        NAKED_PUBLISHER, caller, select=("RPR603",)
+        NAKED_PUBLISHER, caller, select=("RPR201",)
     )
-    assert codes_of(violations) == ["RPR603"]
+    assert [(v.code, v.line) for v in violations] == [("RPR201", 6)]
 
 
-def test_direct_rename_in_durable_root_is_left_to_per_file_rules():
+def test_direct_rename_in_durable_root_flags_at_the_rename():
     caller = (
         "repro.durable.store",
-        '"""Direct rename — RPR502/RPR201 territory, not RPR603."""\n'
+        '"""Direct rename: zero hops, same rule."""\n'
         "import os\n"
         "def save(tmp, final):\n"
-        '    """Direct, unsynced — but per-file rules own this."""\n'
+        '    """Direct and unsynced."""\n'
         "    os.rename(tmp, final)\n",
     )
-    assert flow_violations(caller, select=("RPR603",)) == []
-    # ...and the per-file rule does fire on it:
+    violations = flow_violations(caller, select=("RPR201",))
+    assert [(v.code, v.line) for v in violations] == [("RPR201", 5)]
+    assert "os.rename() publishes" in violations[0].message
+    # ...and the single-file lint run reports exactly that one finding:
     module, source = caller
-    assert "RPR502" in codes_of(lint_source("s.py", source, module=module))
+    flagged = lint_source("s.py", source, module=module)
+    assert [(v.code, v.line) for v in flagged] == [("RPR201", 5)]
+
+
+def test_waiver_at_the_rename_covers_every_caller():
+    helper = (
+        "repro.io.atomic",
+        '"""Helper whose unsynced publish is waived at its site."""\n'
+        "import os\n"
+        "def publish(tmp, final):\n"
+        '    """Best-effort move of data nobody trusts."""\n'
+        "    os.replace(tmp, final)  # repro: noqa[RPR201]\n",
+    )
+    caller = (
+        "repro.durable.store",
+        '"""Durable caller of the waived helper."""\n'
+        "from repro.io.atomic import publish\n"
+        "def save(tmp, final):\n"
+        '    """Reaches only a waived rename."""\n'
+        "    publish(tmp, final)\n",
+    )
+    assert flow_violations(helper, caller, select=("RPR201",)) == []
 
 
 def test_recursive_chain_terminates():
@@ -150,5 +174,12 @@ def test_recursive_chain_terminates():
         '    """Must terminate and still flag."""\n'
         "    a(tmp, final)\n",
     )
-    violations = flow_violations(helper, caller, select=("RPR603",))
-    assert codes_of(violations) == ["RPR603"]
+    violations = flow_violations(helper, caller, select=("RPR201",))
+    # The durable root's call, each call around the cycle, and b's own
+    # os.replace.
+    assert [(v.path, v.line) for v in violations] == [
+        ("src/repro/durable/store.py", 5),
+        ("src/repro/io/atomic.py", 5),
+        ("src/repro/io/atomic.py", 8),
+        ("src/repro/io/atomic.py", 9),
+    ]

@@ -30,11 +30,11 @@ def repo_root():
 def lint_fixture():
     """Lint a fixture file as *module* and return its violations."""
 
-    def _lint(name, module=SIM_CORE_MODULE, rules=None):
+    def _lint(name, module=SIM_CORE_MODULE, select=None):
         path = FIXTURES / name
         return lint_source(
             path, path.read_text(encoding="utf-8"), module=module,
-            rules=rules,
+            select=select,
         )
 
     return _lint

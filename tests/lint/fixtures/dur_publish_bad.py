@@ -1,4 +1,4 @@
-"""Fixture: rename-family durable publishes RPR502 must flag."""
+"""Fixture: rename-family durable publishes RPR201 must flag."""
 
 import os
 import shutil
@@ -8,23 +8,23 @@ def publish_via_rename(tmp, final):
     """os.rename dodges the RPR201 os.replace audit entirely."""
     with open(tmp, "w") as handle:
         handle.write("state")
-    os.rename(tmp, final)  # RPR502
+    os.rename(tmp, final)  # RPR201
 
 
 def publish_via_move(tmp, final):
     """shutil.move is a rename in a trenchcoat."""
-    shutil.move(tmp, final)  # RPR502
+    shutil.move(tmp, final)  # RPR201
 
 
 def publish_via_pathlib(tmp_path, final_path):
     """Path.replace(target): one-argument method form, no fsync."""
     tmp_path.write_text("state")
-    tmp_path.replace(final_path)  # RPR502
+    tmp_path.replace(final_path)  # RPR201
 
 
 def fsync_after_the_fact(tmp_path, final_path, fd):
     """The fsync happens too late — after the publish."""
-    tmp_path.rename(final_path)  # RPR502
+    tmp_path.rename(final_path)  # RPR201
     os.fsync(fd)
 
 
@@ -33,6 +33,6 @@ def outer_fsync_inner_rename(tmp, final, fd):
     os.fsync(fd)
 
     def publish():
-        os.rename(tmp, final)  # RPR502
+        os.rename(tmp, final)  # RPR201
 
     return publish

@@ -1,10 +1,10 @@
-"""Fixture: durable publishes RPR502 must accept."""
+"""Fixture: durable publishes RPR201 must accept."""
 
 import os
 
 
 def publish_durably(tmp, final):
-    """fsync before the rename — the contract RPR502 enforces."""
+    """fsync before the rename — the contract RPR201 enforces."""
     with open(tmp, "w") as handle:
         handle.write("state")
         handle.flush()

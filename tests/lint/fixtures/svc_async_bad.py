@@ -1,6 +1,6 @@
 """Fixture: blocking calls inside coroutines (RPR501).
 
-Linted as a ``repro.service`` module; expects three violations.
+Linted as a ``repro.service`` module; expects four violations.
 """
 
 import subprocess

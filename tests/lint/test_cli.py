@@ -1,8 +1,10 @@
 """CLI acceptance: exit codes, JSON report, baseline flags."""
 
 import json
+import subprocess
+import sys
 
-from tests.lint.conftest import FIXTURES
+from tests.lint.conftest import FIXTURES, REPO_ROOT
 
 from repro.lint.cli import main
 
@@ -96,3 +98,29 @@ def test_list_rules_prints_catalogue(capsys):
     out = capsys.readouterr().out
     for code in ("RPR101", "RPR201", "RPR301", "RPR401"):
         assert code in out
+
+
+def test_run_lint_on_one_file_follows_a_same_file_chain(tmp_path):
+    # The pre-commit path: one staged service module whose coroutine
+    # blocks through a helper in the same file.
+    staged = tmp_path / "src" / "repro" / "service" / "planted.py"
+    staged.parent.mkdir(parents=True)
+    staged.write_text(
+        '"""Coroutine blocking through a same-file helper."""\n'
+        "import time\n"
+        "def settle():\n"
+        '    """Blocks."""\n'
+        "    time.sleep(0.1)\n"
+        "async def run():\n"
+        '    """Stalls the loop through the helper."""\n'
+        "    settle()\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "run_lint.py"),
+         str(staged)],
+        capture_output=True, text=True, cwd=REPO_ROOT, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "planted.py:8:1: RPR501" in proc.stdout
+    assert proc.stdout.rstrip().splitlines()[-1].startswith("FAIL:")

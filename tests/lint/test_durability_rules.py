@@ -7,7 +7,9 @@ from repro.lint import lint_source
 
 def test_replace_fixture_flags_all_three_shapes(lint_fixture):
     violations = lint_fixture("dur_replace_bad.py", module=None)
-    assert codes_of(violations) == ["RPR201"] * 3
+    assert [(v.code, v.line) for v in violations] == [
+        ("RPR201", 10), ("RPR201", 15), ("RPR201", 24)
+    ]
     lines = {v.line for v in violations}
     # One in each function: missing, too-late, and nested-scope fsync.
     assert len(lines) == 3
@@ -15,6 +17,18 @@ def test_replace_fixture_flags_all_three_shapes(lint_fixture):
 
 def test_replace_negative_fixture_is_clean(lint_fixture):
     assert lint_fixture("dur_replace_ok.py", module=None) == []
+
+
+def test_module_level_replace_is_flagged():
+    # A module body is a scope of its own, in or outside the package tree.
+    source = (
+        '"""Doc."""\n'
+        "import os\n"
+        "os.replace('a.tmp', 'a')\n"
+    )
+    for module in (None, "repro.jobs._fx"):
+        flagged = lint_source("m.py", source, module=module)
+        assert [(v.code, v.line) for v in flagged] == [("RPR201", 3)]
 
 
 def test_except_fixture_flags_bare_and_swallowed(lint_fixture):

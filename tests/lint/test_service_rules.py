@@ -1,4 +1,8 @@
-"""RPR5xx service-responsiveness rules: blocking calls in coroutines."""
+"""RPR501 service responsiveness: blocking calls in coroutines.
+
+The lexical cases: the blocking call sits in the coroutine body itself.
+Chains through helpers are in ``tests/flow/test_rpr602.py``.
+"""
 
 from tests.lint.conftest import codes_of
 
@@ -8,7 +12,9 @@ SERVICE_MODULE = "repro.service._lint_fixture"
 
 def test_blocking_fixture_flags_every_call(lint_fixture):
     violations = lint_fixture("svc_async_bad.py", module=SERVICE_MODULE)
-    assert codes_of(violations) == ["RPR501", "RPR501", "RPR501", "RPR501"]
+    assert [(v.code, v.line) for v in violations] == [
+        ("RPR501", line) for line in (13, 14, 15, 21)
+    ]
 
 
 def test_sanctioned_patterns_are_clean(lint_fixture):
@@ -45,12 +51,14 @@ def test_alias_spellings_still_flag(lint_fixture):
     violations = lint_fixture(
         "svc_async_alias_bad.py", module=SERVICE_MODULE
     )
-    assert codes_of(violations) == ["RPR501", "RPR501"]
+    assert [(v.code, v.line) for v in violations] == [
+        ("RPR501", 14), ("RPR501", 19)
+    ]
 
 
 def test_aliased_helper_is_subsumed_by_the_flow_pass():
-    # One call hop is enough to blind RPR501; RPR602 closes the gap and
-    # still sees through the alias spelling inside the helper.
+    # One call hop away, RPR501 still sees through the alias spelling
+    # inside the helper.
     from repro.flow import Program, run_flow
     from repro.lint.registry import all_flow_rules
 
@@ -72,9 +80,9 @@ def test_aliased_helper_is_subsumed_by_the_flow_pass():
         "    settle()\n",
         "repro.service.loop",
     )
-    rules = [r for r in all_flow_rules() if r.code == "RPR602"]
+    rules = [r for r in all_flow_rules() if r.code == "RPR501"]
     result = run_flow(Program.from_sources([helper, caller]), rules=rules)
-    assert codes_of(result.violations) == ["RPR602"]
+    assert codes_of(result.violations) == ["RPR501"]
     assert "time.sleep" in result.violations[0].message
 
 

@@ -19,10 +19,30 @@ def test_line_noqa_only_covers_its_own_code():
         "import time\n"
         "def stamp():\n"
         '    """Clock read with the wrong waiver code."""\n'
-        "    return time.time()  # repro: noqa[RPR999]\n"
+        "    return time.time()  # repro: noqa[RPR102]\n"
     )
     flagged = lint_source("m.py", source, module="repro.core._fx")
     assert codes_of(flagged) == ["RPR101"]
+
+
+def test_unknown_code_in_noqa_is_reported_not_accepted():
+    # A typo or a retired code waives nothing, so it must not sit there
+    # looking like a waiver: the finding stays live and the comment is
+    # itself reported.
+    source = (
+        '"""Doc."""\n'
+        "import os\n"
+        "def publish(tmp, final):\n"
+        '    """Unsynced publish with a bogus waiver."""\n'
+        "    os.replace(tmp, final)  # repro: noqa[RPR210]\n"
+        "# repro: noqa-file[RPR603]\n"
+    )
+    flagged = lint_source("m.py", source, module=None)
+    assert [(v.code, v.line) for v in flagged] == [
+        ("RPR201", 5), ("RPR002", 5), ("RPR002", 6)
+    ]
+    assert "RPR210" in flagged[1].message
+    assert "RPR603" in flagged[2].message
 
 
 def test_noqa_in_docstring_is_not_a_suppression():
@@ -116,5 +136,5 @@ def test_analysis_covers_resolves_paths_and_lines():
     analysis = analyze(Program.from_sources([_TAINT_HELPER, caller]))
     assert analysis.covers("src/repro/perf/model.py", "RPR601", 5)
     assert not analysis.covers("src/repro/perf/model.py", "RPR601", 4)
-    assert not analysis.covers("src/repro/perf/model.py", "RPR602", 5)
+    assert not analysis.covers("src/repro/perf/model.py", "RPR604", 5)
     assert not analysis.covers("unknown/path.py", "RPR601", 5)

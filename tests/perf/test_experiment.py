@@ -82,7 +82,6 @@ class TestMappingsAndMixes:
         assert result.chosen_time("x") == 80.0
         assert result.improvement("x") == pytest.approx(0.2)
         assert result.oracle_improvement("x") == pytest.approx(0.2)
-        assert result.regret("x") == pytest.approx(0.0)
         # y is hurt by the chosen mapping relative to its own worst=60.
         assert result.improvement("y") == pytest.approx(0.0)
 

@@ -131,7 +131,7 @@ class TestPhased:
         gen = PhasedGenerator([(g1, 3), (g2, 2)])
         out = gen.next_batch(5)
         assert out.tolist() == [0, 1, 2, 100, 101]
-        assert gen.current_phase == 0  # cycled back
+        assert gen.next_batch(1).tolist() == [3]  # cycled back to g1
 
     def test_cycles(self):
         g1 = StridedGenerator(10, 1, seed=0)
