@@ -8,19 +8,31 @@ admission queue and reports throughput, decision-latency percentiles,
 and the incremental/full remap split.
 
 The replay runs with the durability layer **enabled** — every event is
-WAL-appended and fsynced before it is applied, and state snapshots
+WAL-logged and fsynced before it is applied, and state snapshots
 every 256 events — so the throughput floor prices in the full
 crash-consistency tax, not a best-case in-memory run.
 
-Hard assertions (the subsystem's acceptance contract):
+Two passes over the same trace, each on a fresh daemon:
+
+* **sequential** — one event in flight, so every event is its own
+  WAL commit (one fsync each);
+* **closed loop** — :data:`IN_FLIGHT` submitters keep 32 events in
+  flight, so the daemon finds events queued and group-commits them.
+
+Hard assertions (the subsystem's acceptance contract), on both passes
+unless noted:
 
 * zero dropped events — awaited submission backpressures, never drops;
 * the settled final mapping is byte-identical to the full-remap oracle;
-* throughput meets the ``REPRO_SERVICE_MIN_EPS`` floor (default 1,000
-  events/second) *with the WAL enabled*.
+* sequential throughput meets the ``REPRO_SERVICE_MIN_EPS`` floor
+  (default 1,000 events/second) *with the WAL enabled*;
+* the closed loop needs at most :data:`MAX_FSYNCS_PER_EVENT` fsyncs per
+  event — a structural bound on group commit that host speed cannot
+  move.
 
-Writes ``results/BENCH_service_replay.json`` with the full replay
-report (including the durability summary).
+Writes ``results/BENCH_service_replay.json`` with the full sequential
+replay report (including the durability summary) plus a
+``closed_loop`` section: its WAL-on events/s and fsyncs per event.
 """
 
 import os
@@ -35,6 +47,12 @@ from repro.workloads.arrivals import poisson_trace
 #: Throughput floor in events/second (env-overridable for slow CI hosts).
 MIN_EVENTS_PER_SECOND = float(os.environ.get("REPRO_SERVICE_MIN_EPS", "1000"))
 
+#: Events the closed-loop pass keeps in flight.
+IN_FLIGHT = 32
+
+#: Most WAL fsyncs per event the closed-loop pass may need.
+MAX_FSYNCS_PER_EVENT = 0.25
+
 
 def bench_service_replay(benchmark, report, full_scale, tmp_path):
     num_events = 20_000 if full_scale else 5_000
@@ -48,20 +66,44 @@ def bench_service_replay(benchmark, report, full_scale, tmp_path):
             state_dir=tmp_path / "state",
         ),
     )
-
-    assert result.dropped == 0, "the awaited submission path never drops"
-    assert result.durability is not None
-    assert result.durability["wal_records_written"] == result.processed
-    assert result.oracle_match, (
-        "settled mapping must equal the full-remap oracle: "
-        f"{result.final_mapping} != {result.oracle_mapping}"
+    closed = run_replay(
+        trace,
+        config=ServiceConfig(num_cores=4),
+        state_dir=tmp_path / "closed-loop-state",
+        in_flight=IN_FLIGHT,
     )
+
+    for replay in (result, closed):
+        assert replay.dropped == 0, "the awaited submission path never drops"
+        assert replay.durability is not None
+        assert replay.durability["wal_records_written"] == replay.processed
+        assert replay.oracle_match, (
+            "settled mapping must equal the full-remap oracle: "
+            f"{replay.final_mapping} != {replay.oracle_mapping}"
+        )
     assert result.events_per_second >= MIN_EVENTS_PER_SECOND, (
         f"{result.events_per_second:.0f} events/s is under the "
         f"{MIN_EVENTS_PER_SECOND:.0f}/s floor"
     )
+    fsyncs_per_event = closed.durability["wal_fsyncs"] / closed.processed
+    assert fsyncs_per_event <= MAX_FSYNCS_PER_EVENT, (
+        f"{fsyncs_per_event:.3f} fsyncs per event with {IN_FLIGHT} in "
+        f"flight; group commit allows at most {MAX_FSYNCS_PER_EVENT}"
+    )
 
-    write_bench_json(result, RESULTS_DIR / "BENCH_service_replay.json")
+    write_bench_json(
+        result,
+        RESULTS_DIR / "BENCH_service_replay.json",
+        closed_loop={
+            "in_flight": IN_FLIGHT,
+            "events_per_second": round(closed.events_per_second, 1),
+            "fsyncs_per_event": round(fsyncs_per_event, 4),
+            "decision_latency_seconds": {
+                "p50": round(closed.latency_p50_seconds, 9),
+                "p99": round(closed.latency_p99_seconds, 9),
+            },
+        },
+    )
     report(
         "service_replay",
         format_table(
@@ -82,6 +124,9 @@ def bench_service_replay(benchmark, report, full_scale, tmp_path):
                 ["WAL records", result.durability["wal_records_written"]],
                 ["WAL fsyncs", result.durability["wal_fsyncs"]],
                 ["snapshots", result.durability["snapshot_writes"]],
+                [f"closed loop ({IN_FLIGHT} in flight) events/s",
+                 f"{closed.events_per_second:.0f}"],
+                ["closed loop fsyncs/event", f"{fsyncs_per_event:.3f}"],
             ],
             title="Service extension: 5k-event replayed-arrival load (WAL on)",
         ),

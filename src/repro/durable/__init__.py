@@ -25,12 +25,13 @@ world survive ``kill -9``:
   lets reconnecting clients resend their last request ``(client_id,
   seq)`` without it ever being applied twice.
 * :class:`~repro.durable.manager.DurabilityManager` — the facade the
-  daemon talks to: WAL append per event, snapshot every N events, WAL
-  compaction behind each published snapshot, and the
-  ``durable_*`` metrics.
+  daemon talks to: one WAL group commit (one fsync) per batch of
+  events, snapshot every N events at the applied event's LSN, WAL
+  compaction behind each published snapshot, fail-stop after a disk
+  error, and the ``durable_*`` metrics.
 
 Recovery (``SchedulerService.recover``) loads the newest intact
-snapshot, replays the WAL tail through the daemon's own event handler,
+snapshot, replays the WAL tail through the daemon's own apply stage,
 and must land on a state byte-identical to an uninterrupted run — the
 kill-at-every-index test in ``tests/durable/test_recovery.py`` pins
 exactly that.

@@ -68,6 +68,11 @@ class DedupTable:
             return stored
         return {"duplicate": True}
 
+    def seen(self, client: str, seq: int) -> bool:
+        """Whether :meth:`check` would answer ``(client, seq)``; counts no hit."""
+        entry = self._clients.get(client)
+        return entry is not None and seq <= entry[0]
+
     def remember(self, client: str, seq: int, response: Dict[str, Any]) -> None:
         """Record the response for an applied ``(client, seq)`` request."""
         entry = self._clients.get(client)

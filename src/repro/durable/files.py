@@ -11,10 +11,14 @@ One serialisation and three file protocols, each written once:
 
       {"version": 1, ...}\\n
 
-  Each append is one ``write`` of a full line, flushed and ``fsync``-ed
-  before it returns. If the file ends in a torn line (a previous
-  process died mid-append), a newline is written first so the fragment
-  stays isolated instead of corrupting the new record. Reading yields
+  A committing append is one ``write`` of full lines, flushed and
+  ``fsync``-ed before it returns. An append with ``commit=False`` only
+  stages its line; the next committing append writes every staged line
+  with its own in that one ``write`` and ``fsync``, which is how a
+  client commits a group of records for the price of one. If the file
+  ends in a torn line (a previous process died mid-append), a newline
+  is written first so the fragment stays isolated instead of
+  corrupting the new records. Reading yields
   ``None`` for every line that is torn, garbled or of another schema
   version; what a client does about it (skip, or stop) is its policy.
 * :func:`publish_atomic` — write-tmp/flush/``fsync``/``os.replace`` in
@@ -39,7 +43,17 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional, TypeVar, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    TypeVar,
+    Union,
+)
 
 from repro.errors import ConfigurationError, JobError
 
@@ -91,19 +105,31 @@ class LineLog:
         if self.path.is_dir():
             raise ConfigurationError(f"{what} path {self.path} is a directory")
         self.version = version
+        self._staged: List[bytes] = []
 
     def _line(self, record: Dict[str, Any]) -> str:
         """The exact text of *record* as one line of this log."""
         return canonical_json({"version": self.version, **record}) + "\n"
 
-    def append(self, record: Dict[str, Any]) -> None:
-        """Durably append *record* as one line (written, flushed, fsynced).
+    def append(self, record: Dict[str, Any], commit: bool = True) -> None:
+        """Append *record* as one line; durable once a commit returns.
 
-        The line is fully serialised before the file is touched. The
-        torn-tail check reads the last byte through the same ``a+b``
-        handle the line is written with, so an append costs one open.
+        With ``commit=True`` (the default) the staged lines and this
+        one are written in one ``write``, flushed and fsynced before the
+        call returns. With ``commit=False`` the line is only staged in
+        memory for the next committing append. Either way the line is
+        fully serialised before the file is touched, and an append that
+        raises drops every staged line with it, so a group of records
+        is committed whole or not by this process at all. The torn-tail
+        check reads the last byte through the same ``a+b`` handle the
+        lines are written with, so a commit costs one open.
         """
-        data = self._line(record).encode("ascii")
+        staged, self._staged = self._staged, []
+        staged.append(self._line(record).encode("ascii"))
+        if not commit:
+            self._staged = staged
+            return
+        data = b"".join(staged)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a+b") as handle:
             if handle.tell() > 0:

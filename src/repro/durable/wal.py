@@ -4,10 +4,13 @@ One :class:`~repro.durable.files.LineLog` of event records::
 
     {"version": 1, "lsn": 17, "event": {"kind": "admit", ...}}\n
 
-The shared line log supplies the durability: every append is one
-``write`` of a full line, flushed and ``fsync``-ed before
-:meth:`EventWAL.append` returns, so neither ``kill -9`` nor a power
-loss loses an acknowledged record. Each record carries a monotonically
+The shared line log supplies the durability. A committing
+:meth:`EventWAL.append` writes its line, and every line staged by the
+non-committing appends before it, in one ``write``, flushed and
+``fsync``-ed before it returns — one fsync per group of records, not
+per record. A record is durable, and may be acknowledged, only once
+the commit that wrote it has returned, so neither ``kill -9`` nor a
+power loss loses an acknowledged record. Each record carries a monotonically
 increasing **log sequence number** (LSN), which is what makes this a
 WAL rather than a plain journal:
 
@@ -56,8 +59,10 @@ class EventWAL:
     def __init__(self, path) -> None:
         self._log = LineLog(path, WAL_SCHEMA_VERSION, "WAL")
         self.path = self._log.path
+        #: Records made durable, and the fsyncs that made them so.
         self.records_written = 0
         self.fsyncs = 0
+        self._staged = 0  # records appended since the last commit
         self.corrupt_lines = 0
         self._next_lsn: Optional[int] = None  # lazily seeded from the file
 
@@ -88,18 +93,31 @@ class EventWAL:
         assert self._next_lsn is not None
         return self._next_lsn - 1
 
-    def append(self, event: Dict[str, Any]) -> int:
-        """Durably append one event payload; returns its LSN.
+    def append(self, event: Dict[str, Any], commit: bool = True) -> int:
+        """Append one event payload under the next LSN; returns the LSN.
 
-        A crash leaves at worst one torn trailing line — truncated by
-        the next process's first append (see :meth:`_ensure_open`) and
-        skipped by replay.
+        With ``commit=True`` the record, and every record staged before
+        it, is durable when this returns (one fsync); ``commit=False``
+        only stages it for the next committing append. A crash
+        mid-commit leaves a whole-record prefix of the group plus at
+        worst one torn trailing line — truncated by the next process's
+        first append (see :meth:`_ensure_open`) and skipped by replay.
+        A failed append forgets the LSN counter, so the next one
+        re-reads the file rather than trust numbers the disk never got.
         """
         lsn = self.last_lsn + 1
-        self._log.append({"lsn": lsn, "event": event})
-        self.fsyncs += 1
-        self.records_written += 1
+        try:
+            self._log.append({"lsn": lsn, "event": event}, commit=commit)
+        except BaseException:
+            self._next_lsn = None
+            self._staged = 0
+            raise
         self._next_lsn = lsn + 1
+        self._staged += 1
+        if commit:
+            self.fsyncs += 1
+            self.records_written += self._staged
+            self._staged = 0
         return lsn
 
     # -- read path -----------------------------------------------------

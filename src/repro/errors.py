@@ -21,6 +21,7 @@ __all__ = [
     "ServiceError",
     "ProtocolError",
     "ServiceTimeout",
+    "DurabilityError",
 ]
 
 
@@ -86,3 +87,8 @@ class ServiceTimeout(ServiceError):
     caller cannot tell whether the request was applied, so any retry
     must reuse the same ``(client_id, seq)`` pair and rely on the
     server's idempotency table."""
+
+
+class DurabilityError(ReproError):
+    """The write-ahead log failed a commit and refuses further appends
+    until the daemon is restarted and recovered from its state dir."""

@@ -45,8 +45,11 @@ def _comment_tokens(source: str) -> Iterator[Tuple[int, int, str]]:
 
     Tokenising (rather than scanning raw lines) means a docstring that
     merely *mentions* ``# repro: noqa[...]`` — as this module's own
-    documentation does — is not mistaken for a suppression.
+    documentation does — is not mistaken for a suppression. A source
+    without the text ``noqa`` holds no suppression and is not tokenised.
     """
+    if "noqa" not in source:
+        return
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for token in tokens:

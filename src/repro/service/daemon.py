@@ -6,8 +6,8 @@ asks the :class:`~repro.service.mapper.IncrementalMapper` for a
 decision, and resolves the submitter's future with a JSON-native
 result. Bounded queue + awaiting producers = backpressure: under
 overload, submitters *wait* — nothing is silently discarded. The only
-path that drops is the explicitly non-blocking :meth:`try_submit`,
-and every drop is counted.
+path that drops for lack of room is the explicitly non-blocking
+:meth:`try_submit`, and every drop is counted.
 
 Health reuses the supervision layer rather than reinventing it:
 
@@ -19,14 +19,25 @@ Health reuses the supervision layer rather than reinventing it:
   a tick per processed event and an idle tick while the queue is
   empty, so an external watchdog can distinguish loaded from wedged.
 
+The consumer works in batches: each wake-up drains everything already
+queued and handles it with no ``await`` in between, in two stages. The
+log stage WAL-appends every event of the batch and commits them with
+one ``fsync``; the apply stage then applies the events and resolves
+their futures in queue order. A single event is a batch of one, so
+live events, tests and recovery share one code path.
+
 Crash consistency is optional and composed in from
 :mod:`repro.durable`: with a
 :class:`~repro.durable.manager.DurabilityManager` attached, every
-event is WAL-appended before it is applied, state is snapshotted every
-N events, duplicate ``(client, seq)`` submissions are answered from
-the idempotency table instead of re-applied, and
-:meth:`SchedulerService.recover` rebuilds an exact replica of the
-pre-crash daemon. Without it (the default) nothing is logged and
+event is durable in the WAL before it is applied (append-before-apply)
+and answered only after (ack-after-durable), state is snapshotted
+every N events at the last applied event's LSN, duplicate
+``(client, seq)`` submissions are answered from the idempotency table
+instead of re-applied, and :meth:`SchedulerService.recover` rebuilds
+an exact replica of the pre-crash daemon. A failed WAL commit is
+fail-stop: its batch and every later event are answered ``ok: false``
+with the durability error, never applied, while reads and ``status``
+keep answering. Without durability (the default) nothing is logged and
 behaviour is byte-identical to the pre-durability daemon.
 
 Telemetry follows the house contract — one guarded ``current()`` read,
@@ -41,7 +52,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.alloc.base import AllocationPolicy
 from repro.durable.dedup import DedupTable
@@ -67,12 +78,20 @@ from repro.telemetry.metrics import DURATION_BUCKETS
 
 __all__ = ["ServiceConfig", "SchedulerService"]
 
+#: The event types the WAL can record; anything else is refused unlogged.
+_EVENT_TYPES = (AdmitEvent, RetireEvent, PhaseChangeEvent, SettleEvent)
+
+#: What the log stage decides for one event: its LSN, ``None`` (apply
+#: with no record of its own), or the answer refusing it unapplied.
+_Plan = Union[int, None, Dict[str, Any]]
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunables of one scheduling daemon instance.
 
-    ``queue_capacity`` bounds the admission queue (backpressure depth);
+    ``queue_capacity`` bounds the admission queue (backpressure depth)
+    and so the consumer's largest batch;
     ``drift_threshold`` is forwarded to the incremental mapper;
     ``wave_events`` sets how many processed events advance one circuit
     breaker cooldown wave; ``heartbeat_interval`` paces idle liveness
@@ -152,9 +171,9 @@ class SchedulerService:
         Board slot this daemon ticks under.
     durability:
         Optional :class:`~repro.durable.manager.DurabilityManager`.
-        When attached, every event is WAL-logged *before* it is
-        applied and the full service state is snapshotted every
-        ``snapshot_interval`` events; :meth:`recover` rebuilds the
+        When attached, every batch of events is WAL-logged with one
+        fsync *before* any of it is applied and the full service state
+        is snapshotted every ``snapshot_interval`` events; :meth:`recover` rebuilds the
         daemon from that directory after a crash. ``None`` (the
         default) keeps the daemon purely in-memory, byte-identical to
         a build without the durability layer.
@@ -220,7 +239,7 @@ class SchedulerService:
 
         Loads the newest intact snapshot (corrupt ones are quarantined
         and ignored), replays the WAL tail through the daemon's own
-        event handler, and returns a service whose registry, mapper,
+        apply stage, and returns a service whose registry, mapper,
         breaker, dedup table and counters are byte-identical to an
         uninterrupted run over the same event sequence — the
         equivalence the kill-at-every-index test pins. The recovered
@@ -272,7 +291,7 @@ class SchedulerService:
                 restore_state(self, state)
                 self.recovered_from_snapshot = True
             for _, payload in tail:
-                self._handle(event_from_payload(payload), record=False)
+                self._apply(event_from_payload(payload), None)
             self.recovered_events = len(tail)
         finally:
             if tel is not None and tel.metrics is not None:
@@ -371,7 +390,8 @@ class SchedulerService:
         """Enqueue without blocking; ``None`` (and a counted drop) if full.
 
         The future resolves with the decision once the event is
-        processed. This is the only path that can ever drop an event.
+        processed. This is the only path that drops an event for lack
+        of room.
         """
         queue = self._require_accepting()
         future = asyncio.get_running_loop().create_future()
@@ -388,48 +408,131 @@ class SchedulerService:
     # -- consumer ------------------------------------------------------
 
     async def _run(self) -> None:
-        """Consume the admission queue until the shutdown sentinel."""
-        assert self._queue is not None
+        """Consume the admission queue until the shutdown sentinel.
+
+        Each wake-up drains everything already queued, up to the
+        sentinel, into one batch: at most ``queue_capacity`` events,
+        since that bounds the queue and no producer runs while the
+        batch is handled. Every event of the batch is answered before
+        the next ``await``.
+        """
+        queue = self._queue
+        assert queue is not None
         while True:
             if self._heartbeat_board is not None:
                 try:
                     item = await asyncio.wait_for(
-                        self._queue.get(), self.config.heartbeat_interval
+                        queue.get(), self.config.heartbeat_interval
                     )
                 except asyncio.TimeoutError:
                     heartbeat.tick("service:idle")
                     continue
             else:
-                item = await self._queue.get()
-            if item is None:
-                self._queue.task_done()
-                return
-            event, future = item
-            # Write-ahead ordering requires the WAL append (one small
-            # write, fsynced) to complete
-            # synchronously before the event is applied; _run is the
-            # single consumer task, so the bounded stall is the
-            # documented durability/latency trade, not a hazard.
-            result = self._handle(event)  # repro: noqa[RPR501]
-            if self._heartbeat_board is not None:
-                heartbeat.tick(
-                    f"service:{getattr(event, 'kind', 'unknown')}"
+                item = await queue.get()
+            batch = [item]
+            while item is not None and not queue.empty():
+                item = queue.get_nowait()
+                batch.append(item)
+            work = batch[:-1] if item is None else batch
+            if work:
+                # Write-ahead ordering requires the batch's WAL commit
+                # (one write, one fsync for the whole batch) to complete
+                # synchronously before any of its events is applied;
+                # _run is the single consumer task, so the bounded stall
+                # is the documented durability/latency trade, not a
+                # hazard.
+                results = self._handle(  # repro: noqa[RPR501]
+                    *(event for event, _ in work)
                 )
-            if future is not None and not future.done():
-                future.set_result(result)
-            self._queue.task_done()
+                for (event, future), result in zip(work, results):
+                    if self._heartbeat_board is not None:
+                        heartbeat.tick(
+                            f"service:{getattr(event, 'kind', 'unknown')}"
+                        )
+                    if future is not None and not future.done():
+                        future.set_result(result)
+            for _ in batch:
+                queue.task_done()
+            if item is None:
+                return
 
-    def _handle(
-        self, event: ServiceEvent, record: bool = True
-    ) -> Dict[str, Any]:
-        """Process one event; never raises (the daemon must keep serving).
+    def _handle(self, *events: ServiceEvent) -> List[Dict[str, Any]]:
+        """Process *events* as one batch, in order; never raises.
 
-        With durability attached (and ``record=True``) the event is
-        WAL-appended *before* it is applied — write-ahead order. The
-        recovery replay path calls with ``record=False``: re-applying
-        an already-logged event must not log it again. A duplicate
-        ``(client, seq)`` request short-circuits here, answered from
-        the dedup table without touching the WAL or the scheduler.
+        A single event is a batch of one. The log stage (:meth:`_log`)
+        makes every event that needs a WAL record durable with one
+        commit; only then does the apply stage (:meth:`_apply`) apply
+        the events, in order. An event the log stage refuses is
+        answered without being applied. Returns one answer per event.
+        """
+        plans = self._log(events)
+        return [
+            plan if isinstance(plan, dict) else self._apply(event, plan)
+            for event, plan in zip(events, plans)
+        ]
+
+    def _log(self, events: Sequence[ServiceEvent]) -> List[_Plan]:
+        """Write-ahead stage: one plan per event of the batch.
+
+        An event gets its LSN once the batch's records are committed.
+        It gets ``None`` when it needs no record: no durability is
+        attached, or its ``(client, seq)`` is a duplicate — of an
+        applied request, or of one earlier in this batch — that the
+        apply stage answers from the dedup table. It gets a refusal
+        when it cannot be made durable: an object of no event type,
+        and every event of a batch whose commit failed, so a batch is
+        logged whole or not applied at all.
+        """
+        plans: List[_Plan] = [None] * len(events)
+        if self.durability is None:
+            return plans
+        fresh: List[int] = []
+        batch_high: Dict[str, int] = {}
+        for index, event in enumerate(events):
+            if not isinstance(event, _EVENT_TYPES):
+                plans[index] = self._refuse(event, "not a service event")
+                continue
+            client, seq = event.client, event.seq
+            if client is not None and seq is not None:
+                high = batch_high.get(client)
+                if self.dedup.seen(client, seq) or (
+                    high is not None and seq <= high
+                ):
+                    continue
+                batch_high[client] = seq
+            fresh.append(index)
+        try:
+            lsns = self.durability.record_events(
+                [event_to_payload(events[index]) for index in fresh]
+            )
+        except (OSError, ReproError) as exc:
+            reason = f"durability failure: {type(exc).__name__}: {exc}"
+            return [
+                plan if isinstance(plan, dict) else self._refuse(event, reason)
+                for event, plan in zip(events, plans)
+            ]
+        for index, lsn in zip(fresh, lsns):
+            plans[index] = lsn
+        return plans
+
+    def _refuse(self, event: Any, reason: str) -> Dict[str, Any]:
+        """Answer an event that is not applied (counted as dropped)."""
+        self.events_dropped += 1
+        return {
+            "ok": False,
+            "kind": getattr(event, "kind", type(event).__name__),
+            "error": f"not applied: {reason}",
+        }
+
+    def _apply(self, event: ServiceEvent, lsn: Optional[int]) -> Dict[str, Any]:
+        """Apply stage for one event; never raises (the daemon must keep serving).
+
+        *lsn* is the event's WAL record, durable by now; ``None`` when
+        it has none of its own (durability off, a duplicate, or
+        recovery replaying the WAL). A logged event is noted applied,
+        which publishes a snapshot at *lsn* when one is due. A
+        duplicate ``(client, seq)`` request short-circuits here,
+        answered from the dedup table without touching the scheduler.
         """
         # Even a foreign object in the queue must produce an answer, so
         # the kind tag cannot assume the event honours the protocol.
@@ -452,8 +555,6 @@ class SchedulerService:
             else None
         )
         try:
-            if record and self.durability is not None:
-                self.durability.record_event(event_to_payload(event))
             try:
                 result = self._dispatch(event, tel)
             except ReproError as exc:
@@ -475,8 +576,17 @@ class SchedulerService:
                 self.breaker.advance_wave()
             if client is not None and seq is not None:
                 self.dedup.remember(client, seq, result)
-            if record and self.durability is not None:
-                self.durability.note_applied(lambda: capture_state(self))
+            if lsn is not None and self.durability is not None:
+                try:
+                    self.durability.note_applied(
+                        lambda: capture_state(self), lsn
+                    )
+                except OSError:
+                    # The WAL still holds every applied record, so a
+                    # failed snapshot loses nothing; the manager has
+                    # latched the failure, and the next batch's log
+                    # stage refuses new work (fail-stop).
+                    pass
             if self.config.stale_after_seconds is not None:
                 self._last_event_monotonic = time.monotonic()
             if tel is not None and tel.metrics is not None:

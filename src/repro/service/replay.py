@@ -10,7 +10,9 @@ mapping can be compared byte-for-byte against the full-remap oracle.
 Two transports:
 
 * ``direct`` — events enter the admission queue in-process; measures
-  the daemon itself.
+  the daemon itself. ``in_flight`` submitters share the trace, each
+  sending its next event as soon as its previous one is answered, so
+  up to that many events queue (1, the default, replays sequentially).
 * ``socket`` — events travel through the newline-JSON TCP protocol;
   measures the full client/server round trip.
 
@@ -141,14 +143,25 @@ class ReplayReport:
 
 
 async def _drive_direct(
-    service: SchedulerService, trace: ArrivalTrace
+    service: SchedulerService, trace: ArrivalTrace, in_flight: int
 ) -> List[float]:
-    """Submit every trace event in-process; returns per-event latencies."""
-    latencies: List[float] = []
-    for arrival in trace:
-        started = time.perf_counter()
-        await service.submit_event(event_from_arrival(arrival))
-        latencies.append(time.perf_counter() - started)
+    """Submit every trace event in-process; returns per-event latencies.
+
+    *in_flight* submitters share one cursor over the trace. Each takes
+    the next event and enqueues it without awaiting in between, so
+    events enter the queue in trace order.
+    """
+    arrivals = list(trace)
+    latencies = [0.0] * len(arrivals)
+    cursor = iter(range(len(arrivals)))
+
+    async def submitter() -> None:
+        for index in cursor:
+            started = time.perf_counter()
+            await service.submit_event(event_from_arrival(arrivals[index]))
+            latencies[index] = time.perf_counter() - started
+
+    await asyncio.gather(*(submitter() for _ in range(in_flight)))
     return latencies
 
 
@@ -193,6 +206,7 @@ def run_replay(
     host: str = "127.0.0.1",
     state_dir: Optional[Union[str, Path]] = None,
     snapshot_interval: int = 256,
+    in_flight: int = 1,
 ) -> ReplayReport:
     """Replay *trace* against a fresh daemon and report what happened.
 
@@ -207,10 +221,19 @@ def run_replay(
     every ``snapshot_interval`` events. The dirty directory is left
     behind on purpose — it is what :func:`measure_recovery` and the
     recovery bench feed on.
+
+    ``in_flight`` (direct transport only) is the number of events kept
+    in flight by a closed loop of submitters; with more than one, the
+    daemon finds several events queued and commits them together.
     """
     if transport not in TRANSPORTS:
         raise ServiceError(
             f"unknown transport {transport!r}; valid: {', '.join(TRANSPORTS)}"
+        )
+    if in_flight < 1 or (in_flight > 1 and transport != "direct"):
+        raise ServiceError(
+            f"in_flight must be 1, or > 1 on the direct transport; got "
+            f"{in_flight} on {transport!r}"
         )
     chosen = policy if policy is not None else WeightSortPolicy()
     cfg = config if config is not None else ServiceConfig(num_cores=4)
@@ -226,7 +249,7 @@ def run_replay(
         started = time.perf_counter()
         try:
             if transport == "direct":
-                latencies = await _drive_direct(service, trace)
+                latencies = await _drive_direct(service, trace, in_flight)
             else:
                 latencies = await _drive_socket(service, trace, host)
             settle = await service.submit_event(SettleEvent())
@@ -335,13 +358,21 @@ def measure_recovery(
 
 
 def write_bench_json(
-    report: Union[ReplayReport, RecoveryReport], path: Union[str, Path]
+    report: Union[ReplayReport, RecoveryReport],
+    path: Union[str, Path],
+    **sections: Any,
 ) -> Path:
-    """Write the report's JSON payload to *path* (parents created)."""
+    """Write the report's JSON payload to *path* (parents created).
+
+    Keyword *sections* are added to the payload as extra top-level keys.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(
-        json.dumps(report.to_payload(), indent=2, sort_keys=True) + "\n",
+        json.dumps(
+            {**report.to_payload(), **sections}, indent=2, sort_keys=True
+        )
+        + "\n",
         encoding="utf-8",
     )
     return target

@@ -1,9 +1,12 @@
 """DurabilityManager: write-ahead ordering, checkpoint cadence, loading."""
 
+import errno
+import os
+
 import pytest
 
 from repro.durable.manager import DurabilityManager
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DurabilityError
 
 
 def test_record_event_appends_before_anything_else(tmp_path):
@@ -81,3 +84,34 @@ def test_constructor_validation(tmp_path):
     blocker.write_text("file", encoding="ascii")
     with pytest.raises(ConfigurationError):
         DurabilityManager(blocker)
+
+
+def test_a_snapshot_claims_the_applied_lsn_not_the_newest_record(tmp_path):
+    manager = DurabilityManager(tmp_path, snapshot_interval=2)
+    assert manager.record_events([{"n": n} for n in range(1, 5)]) == [1, 2, 3, 4]
+    assert manager.wal.fsyncs == 1
+    assert manager.note_applied(lambda: {"upto": 1}, 1) is False
+    assert manager.note_applied(lambda: {"upto": 2}, 2) is True
+    state, snapshot_lsn, tail = DurabilityManager(tmp_path).load()
+    assert state == {"upto": 2} and snapshot_lsn == 2
+    # Durable but not yet applied when the snapshot was taken: replayed.
+    assert [lsn for lsn, _ in tail] == [3, 4]
+
+
+def test_a_failed_commit_latches_and_refuses_later_work(tmp_path, monkeypatch):
+    manager = DurabilityManager(tmp_path, snapshot_interval=1)
+    manager.record_events([{"n": 1}])
+
+    def disk_full(fd):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError):
+            manager.record_events([{"n": 2}, {"n": 3}])
+    with pytest.raises(DurabilityError, match="No space"):
+        manager.record_events([{"n": 4}])
+    assert "No space" in manager.status()["failure"]
+    # No snapshot is attempted once the disk has failed.
+    assert manager.note_applied(lambda: {}) is False
+    assert manager.checkpoints == 0

@@ -1,9 +1,12 @@
-"""The event WAL: LSN ordering, torn tails, compaction."""
+"""The event WAL: LSN ordering, torn tails, compaction, group commit."""
+
+import errno
+import os
 
 import pytest
 
 from repro.durable.wal import WAL_SCHEMA_VERSION, EventWAL
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, JobError
 
 
 def wal_at(tmp_path, **kwargs):
@@ -139,3 +142,44 @@ def test_constructor_validation(tmp_path):
     (tmp_path / "adir").mkdir()
     with pytest.raises(ConfigurationError):
         EventWAL(tmp_path / "adir")
+
+
+def test_staged_appends_commit_with_one_fsync(tmp_path):
+    wal = wal_at(tmp_path)
+    assert [wal.append({"pid": p}, commit=False) for p in range(3)] == [1, 2, 3]
+    assert not wal.path.exists()
+    assert (wal.fsyncs, wal.records_written) == (0, 0)
+    assert wal.append({"pid": 3}) == 4
+    assert (wal.fsyncs, wal.records_written) == (1, 4)
+    assert [lsn for lsn, _ in wal_at(tmp_path).replay(0)] == [1, 2, 3, 4]
+
+
+def test_a_failed_fsync_drops_the_staged_group_and_rereads_the_file(
+    tmp_path, monkeypatch
+):
+    wal = wal_at(tmp_path)
+    wal.append({"pid": 0})
+    wal.append({"pid": 1}, commit=False)
+
+    def broken(fd):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", broken)
+        with pytest.raises(OSError):
+            wal.append({"pid": 2})
+    assert (wal.fsyncs, wal.records_written) == (1, 1)
+    # The write reached the file before fsync failed: numbering resumes
+    # after what the file holds, and nothing staged is written twice.
+    assert wal.append({"pid": 3}) == 4
+    assert [e["pid"] for _, e in wal_at(tmp_path).replay(0)] == [0, 1, 2, 3]
+
+
+def test_an_unserialisable_payload_drops_the_staged_group(tmp_path):
+    wal = wal_at(tmp_path)
+    wal.append({"pid": 0})
+    wal.append({"pid": 1}, commit=False)
+    with pytest.raises(JobError):
+        wal.append({"pid": float("nan")}, commit=False)
+    assert wal.append({"pid": 2}) == 2
+    assert [e["pid"] for _, e in wal_at(tmp_path).replay(0)] == [0, 2]

@@ -131,3 +131,36 @@ def test_write_bench_json(tmp_path):
     assert payload["final"]["oracle_match"] is True
     assert payload["trace"] == {"kind": "poisson", "seed": 2, "events": 30}
     assert isinstance(report, ReplayReport)
+
+
+def test_closed_loop_replay_group_commits_and_matches_sequential(tmp_path):
+    trace = poisson_trace(300, seed=6)
+    sequential = run_replay(trace, state_dir=tmp_path / "sequential")
+    closed = run_replay(trace, state_dir=tmp_path / "closed", in_flight=16)
+    # Events enter the queue in trace order, so the outcome is the same.
+    for field in (
+        "processed", "ok", "rejected", "dropped", "full_remaps",
+        "incremental_updates", "final_mapping", "oracle_match",
+    ):
+        assert getattr(closed, field) == getattr(sequential, field)
+    assert sequential.durability["wal_fsyncs"] == sequential.processed
+    assert closed.durability["wal_records_written"] == closed.processed
+    assert closed.durability["wal_fsyncs"] < closed.processed / 4
+
+
+def test_in_flight_is_validated():
+    trace = poisson_trace(5, seed=0)
+    with pytest.raises(ServiceError, match="in_flight"):
+        run_replay(trace, in_flight=0)
+    with pytest.raises(ServiceError, match="in_flight"):
+        run_replay(trace, transport="socket", in_flight=4)
+
+
+def test_write_bench_json_adds_sections(tmp_path):
+    report = run_replay(poisson_trace(10, seed=2))
+    target = write_bench_json(
+        report, tmp_path / "bench.json", closed_loop={"in_flight": 32}
+    )
+    payload = json.loads(target.read_text())
+    assert payload["closed_loop"] == {"in_flight": 32}
+    assert payload["events"] == report.to_payload()["events"]
