@@ -1,17 +1,18 @@
-"""Cross-validation — do the fast backends drive the exact schedules?
+"""Cross-validation — does the analytical backend drive the exact schedules?
 
 Twelve stratified 4-benchmark SPEC mixes (every benchmark appears in at
-least three) are pushed through the full decision pipeline under each
-backend: pairwise degradation matrix, then all three mapping algorithms
-(greedy pairing, exhaustive MIN-CUT, solo-weighted MIN-CUT). A mix
+least three) are pushed through the full decision pipeline under exact
+and analytical simulation: pairwise degradation matrix, then all three
+mapping algorithms (greedy pairing, exhaustive MIN-CUT, solo-weighted
+MIN-CUT). A mix
 counts as agreeing only when *every* algorithm's choice is
 decision-equivalent to exact's (identical, or equally cheap when priced
 on the exact matrix). Whole-mix miss-rate error is tracked alongside.
 
 CI gates on this bench (the ``estimate-accuracy`` job): agreement must
-reach ``REPRO_EST_MIN_AGREEMENT`` of the 12 mixes per backend (default
-10) and the miss-rate MAPE must stay under ``REPRO_EST_MAX_MAPE``
-(default 6%; observed ~1-2% for both backends).
+reach ``REPRO_EST_MIN_AGREEMENT`` of the 12 mixes (default 10) and the
+miss-rate MAPE must stay under ``REPRO_EST_MAX_MAPE`` (default 6%;
+observed ~1%).
 """
 
 import os
@@ -60,14 +61,13 @@ def bench_estimate_accuracy(benchmark, report, full_scale):
             text += f"\n    disagreed: {'+'.join(record)}"
     report("estimate_accuracy", text)
 
-    for backend in ("analytical", "sampled"):
-        agreed, total = summary.agreement(backend)
-        assert total == MIX_COUNT
-        assert agreed >= MIN_AGREEMENT, (
-            f"{backend}: only {agreed}/{total} mixes decision-equivalent "
-            f"to exact (floor {MIN_AGREEMENT})"
-        )
-        mape = summary.miss_rate_mape(backend)
-        assert mape <= MAX_MAPE, (
-            f"{backend}: miss-rate MAPE {mape:.3f} above {MAX_MAPE}"
-        )
+    agreed, total = summary.agreement("analytical")
+    assert total == MIX_COUNT
+    assert agreed >= MIN_AGREEMENT, (
+        f"analytical: only {agreed}/{total} mixes decision-equivalent "
+        f"to exact (floor {MIN_AGREEMENT})"
+    )
+    mape = summary.miss_rate_mape("analytical")
+    assert mape <= MAX_MAPE, (
+        f"analytical: miss-rate MAPE {mape:.3f} above {MAX_MAPE}"
+    )

@@ -1,26 +1,25 @@
-"""Speedup of the fast-path backends at figure-10 sweep scale.
+"""Speedup of the analytical backend at figure-10 sweep scale.
 
 The paper's figure-10 evaluation covers all C(12,4) = 495 four-task SPEC
-mixes. Exact and sampled simulation pay per mix; the analytical backend
+mixes. Exact simulation pays per mix; the analytical backend
 profiles each of the 12 benchmarks once and prices every mix with
 closed-form arithmetic, so its cost is one profiling pass plus ~3 ms per
 prediction — the asymmetry this bench pins down:
 
 * **analytical**: profiling + all 495 predictions, measured in full;
-* **exact / sampled**: measured on five probe mixes drawn from the
+* **exact**: measured on five probe mixes drawn from the
   reference-count quantiles of the 495 (cost scales with references
   simulated), then extrapolated to the sweep by total reference count.
 
 The speedup floors were set against the scalar exact engine, so the
 exact denominator runs on it (built under
-:func:`repro.cache.native.disabled`); the fast backends run as shipped.
-The compiled exact engine is timed too and reported beside them.
+:func:`repro.cache.native.disabled`); the analytical backend runs as
+shipped. The compiled exact engine is timed too and reported beside it.
 
 CI gates on the resulting speedups (the ``estimate-speed`` job):
 analytical must clear ``REPRO_EST_MIN_SPEEDUP_ANALYTICAL`` (default
-100x) and sampled ``REPRO_EST_MIN_SPEEDUP_SAMPLED`` (default 10x) over
-scalar exact, and compiled exact ``REPRO_EST_MIN_SPEEDUP_NATIVE``
-(default 5x) over scalar exact.
+100x) over scalar exact, and compiled exact
+``REPRO_EST_MIN_SPEEDUP_NATIVE`` (default 5x) over scalar exact.
 """
 
 import itertools
@@ -32,7 +31,6 @@ from conftest import run_once
 from repro.cache import native
 from repro.estimate.analytical import AnalyticalModel
 from repro.estimate.reuse import profile_task
-from repro.estimate.sampled import sampled_simulation
 from repro.perf.machine import quadcore_shared
 from repro.perf.runner import build_tasks, run_mix
 from repro.workloads.spec import spec_profile_names
@@ -42,19 +40,16 @@ from repro.workloads.spec import spec_profile_names
 MIN_SPEEDUP_ANALYTICAL = float(
     os.environ.get("REPRO_EST_MIN_SPEEDUP_ANALYTICAL", "100")
 )
-MIN_SPEEDUP_SAMPLED = float(
-    os.environ.get("REPRO_EST_MIN_SPEEDUP_SAMPLED", "10")
-)
 MIN_SPEEDUP_NATIVE = float(
     os.environ.get("REPRO_EST_MIN_SPEEDUP_NATIVE", "5")
 )
 
-#: Reference-count quantiles the exact/sampled probe mixes come from.
+#: Reference-count quantiles the exact probe mixes come from.
 PROBE_QUANTILES = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
 def _measure(instructions):
-    """Time the three backends over the 495-mix figure-10 sweep."""
+    """Time the exact engines and the analytical backend over the sweep."""
     machine = quadcore_shared()
     names = spec_profile_names()
     tasks_by = {
@@ -81,7 +76,7 @@ def _measure(instructions):
     ]
     probe_refs = sum(refs_of[n] for mix in probes for n in mix)
 
-    t_exact = t_native = t_sampled = 0.0
+    t_exact = t_native = 0.0
     for mix in probes:
         tasks = build_tasks(list(mix), instructions=instructions, seed=0)
         with native.disabled():
@@ -92,14 +87,9 @@ def _measure(instructions):
         started = time.perf_counter()
         run_mix(machine, tasks)
         t_native += time.perf_counter() - started
-        tasks = build_tasks(list(mix), instructions=instructions, seed=0)
-        started = time.perf_counter()
-        sampled_simulation(machine, tasks)
-        t_sampled += time.perf_counter() - started
 
     exact_sweep = t_exact / probe_refs * sweep_refs
     native_sweep = t_native / probe_refs * sweep_refs
-    sampled_sweep = t_sampled / probe_refs * sweep_refs
     analytical_sweep = t_profile + t_predict
     return {
         "mixes": len(mixes),
@@ -109,13 +99,10 @@ def _measure(instructions):
         "predict_seconds": t_predict,
         "exact_probe_seconds": t_exact,
         "native_probe_seconds": t_native,
-        "sampled_probe_seconds": t_sampled,
         "exact_sweep_seconds": exact_sweep,
         "native_sweep_seconds": native_sweep,
-        "sampled_sweep_seconds": sampled_sweep,
         "analytical_sweep_seconds": analytical_sweep,
         "analytical_speedup": exact_sweep / analytical_sweep,
-        "sampled_speedup": exact_sweep / sampled_sweep,
         "native_speedup": exact_sweep / native_sweep,
     }
 
@@ -136,9 +123,6 @@ def bench_estimate_speed(benchmark, report, full_scale):
         f"\n  exact       probe {m['native_probe_seconds']:6.2f} s "
         f"-> sweep {m['native_sweep_seconds']:7.1f} s (compiled kernel, "
         f"{m['native_speedup']:.1f}x)"
-        f"\n  sampled     probe {m['sampled_probe_seconds']:6.2f} s "
-        f"-> sweep {m['sampled_sweep_seconds']:7.1f} s "
-        f"({m['sampled_speedup']:.1f}x)"
         f"\n  analytical  profile {m['profile_seconds']:.2f} s + "
         f"{m['mixes']} predictions {m['predict_seconds']:.2f} s "
         f"= {m['analytical_sweep_seconds']:7.1f} s "
@@ -149,10 +133,6 @@ def bench_estimate_speed(benchmark, report, full_scale):
     assert m["analytical_speedup"] >= MIN_SPEEDUP_ANALYTICAL, (
         f"analytical sweep speedup {m['analytical_speedup']:.1f}x "
         f"below {MIN_SPEEDUP_ANALYTICAL}x"
-    )
-    assert m["sampled_speedup"] >= MIN_SPEEDUP_SAMPLED, (
-        f"sampled sweep speedup {m['sampled_speedup']:.1f}x "
-        f"below {MIN_SPEEDUP_SAMPLED}x"
     )
     assert m["native_speedup"] >= MIN_SPEEDUP_NATIVE, (
         f"compiled exact speedup {m['native_speedup']:.1f}x "

@@ -120,11 +120,6 @@ class PageFaultTracker:
         self.faults += faults
         return faults
 
-    @property
-    def resident_pages(self) -> int:
-        """Current resident-set size in pages."""
-        return len(self._resident)
-
     def reset(self) -> None:
         """Forget all pages and zero the fault counter."""
         self._resident.clear()

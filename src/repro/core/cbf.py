@@ -75,14 +75,6 @@ class BloomFilter:
         """True = inconclusive (possibly present); False = true miss."""
         return all(self.bits.test(h.hash_one(block)) for h in self.hashes)
 
-    def query_many(self, blocks: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`query`: boolean array, False = true miss."""
-        arr = np.asarray(blocks, dtype=np.int64)
-        result = np.ones(len(arr), dtype=bool)
-        for h in self.hashes:
-            result &= self.bits.test_many(h.hash_many(arr))
-        return result
-
     def occupancy_weight(self) -> int:
         """Number of ones in the bit vector (paper's occupancy metric)."""
         return self.bits.popcount()
@@ -173,11 +165,6 @@ class CountingBloomFilter:
         """Insert every block in order (exact per-element semantics)."""
         for block in blocks:
             self.insert(int(block))
-
-    def delete_many(self, blocks: Iterable[int]) -> None:
-        """Delete every block in order (exact per-element semantics)."""
-        for block in blocks:
-            self.delete(int(block))
 
     def occupancy_weight(self) -> int:
         """Number of non-zero counters."""

@@ -119,10 +119,6 @@ class SignatureContext:
             raise SignatureError(f"core {core} out of range")
         return interference_from_symbiosis(self.symbiosis[core])
 
-    def as_tuple(self):
-        """The literal ``(2 + N)``-entry structure of Section 3.2."""
-        return (self.last_core, self.occupancy, *self.symbiosis.tolist())
-
     def __repr__(self) -> str:
         return (
             f"SignatureContext(last_core={self.last_core}, "

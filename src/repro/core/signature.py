@@ -847,11 +847,6 @@ class SignatureUnit:
             sample = self.injector.transform_sample(self, core, sample)
         return sample
 
-    def peek_rbv(self, core: int) -> BitVector:
-        """Current RBV of *core* without snapshotting (debug/inspection)."""
-        self._check_core(core)
-        return running_bit_vector(self.core_filters[core], self.last_filters[core])
-
     def core_occupancy(self, core: int) -> int:
         """popcount of a core's CF — its share of the tracked footprint."""
         self._check_core(core)

@@ -1,26 +1,21 @@
-"""Fast-path estimation backends behind the exact-simulation interface.
+"""Fast-path estimation backend behind the exact-simulation interface.
 
 The exact :class:`~repro.perf.simulator.MulticoreSimulator` replays
 every reference of every task through real cache state — faithful, and
-by far the costliest thing the repo does. This package provides two
-cheaper backends that answer the same questions (per-task user times,
-co-run degradations, aggregate L2 miss rate) through the same result
-types, selectable per :class:`~repro.jobs.spec.RunSpec`:
-
-``analytical``
-    One vectorised profiling pass per task (:mod:`.reuse`) feeds a
-    closed-form footprint/reuse-distance composition model
-    (:mod:`.analytical`) — no interleaved simulation at all.
-``sampled``
-    Phase detection over windowed signatures (:mod:`.phases`) selects
-    representative intervals that run through the *exact* simulator via
-    the dispatch seam, then extrapolate (:mod:`.sampled`).
+by far the costliest thing the repo does. This package provides a
+cheaper ``analytical`` backend that answers the same questions (per-task
+user times, co-run degradations, aggregate L2 miss rate) through the
+same result types, selectable per :class:`~repro.jobs.spec.RunSpec`:
+one vectorised profiling pass per task (:mod:`.reuse`) feeds a
+closed-form footprint/reuse-distance composition model
+(:mod:`.analytical`) — no interleaved simulation at all. Machines with
+private L1s are outside the model and run on the ``exact`` backend.
 
 :mod:`.dispatch` is the single entry point (and the only module allowed
 to construct the exact simulator — lint rule RPR503); :mod:`.validate`
-cross-checks both backends' mapping decisions and miss rates against
-exact simulation. See ``docs/estimation.md`` for the selection guide
-and the error-bound contract.
+cross-checks the analytical backend's mapping decisions and miss rates
+against exact simulation. See ``docs/estimation.md`` for the selection
+guide.
 """
 
 from importlib import import_module
@@ -42,20 +37,11 @@ _EXPORTS = {
     "make_exact_simulator": "repro.estimate.dispatch",
     "EstimateGate": "repro.estimate.gate",
     "EstimatorOptions": "repro.estimate.options",
-    "Phase": "repro.estimate.phases",
-    "detect_phases": "repro.estimate.phases",
-    "representative_windows": "repro.estimate.phases",
-    "window_signatures": "repro.estimate.phases",
     "ReuseProfile": "repro.estimate.reuse",
     "profile_task": "repro.estimate.reuse",
     "profile_trace": "repro.estimate.reuse",
-    "ReplayGenerator": "repro.estimate.sampled",
-    "SampleReport": "repro.estimate.sampled",
-    "TaskSample": "repro.estimate.sampled",
-    "sampled_simulation": "repro.estimate.sampled",
     "MixValidation": "repro.estimate.validate",
     "ValidationSummary": "repro.estimate.validate",
-    "sampled_pairwise": "repro.estimate.validate",
     "validate_mixes": "repro.estimate.validate",
 }
 
@@ -83,23 +69,14 @@ __all__ = [
     "EstimatorOptions",
     "MappingPrediction",
     "MixValidation",
-    "Phase",
-    "ReplayGenerator",
     "ReuseProfile",
-    "SampleReport",
     "TaskPrediction",
-    "TaskSample",
     "ValidationSummary",
     "analytical_simulation",
-    "detect_phases",
     "estimate_mix",
     "make_exact_simulator",
     "predicted_pairwise",
     "profile_task",
     "profile_trace",
-    "representative_windows",
-    "sampled_pairwise",
-    "sampled_simulation",
     "validate_mixes",
-    "window_signatures",
 ]

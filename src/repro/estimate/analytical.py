@@ -104,7 +104,7 @@ def _validate_machine(machine: MachineConfig) -> None:
         raise ConfigurationError(
             "the analytical backend models the L2 reference stream "
             "directly and cannot compose private L1 filtering; use the "
-            "exact or sampled backend for L1-bearing machines"
+            "exact backend for L1-bearing machines"
         )
 
 

@@ -1,4 +1,4 @@
-"""The backend seam: one entry point, three ways to produce a result.
+"""The backend seam: one entry point, two ways to produce a result.
 
 Everything that wants a fast-path result goes through
 :func:`estimate_mix` (or, for run specs, the ``backend`` field on
@@ -7,23 +7,22 @@ module is also the **only** place inside :mod:`repro.estimate` allowed
 to construct the exact :class:`~repro.perf.simulator.MulticoreSimulator`
 — lint rule RPR503 enforces that every other estimate module obtains it
 via :func:`make_exact_simulator`, which keeps the exact engine swappable
-behind one seam (a compiled simulator drops in here, and every backend
-picks it up).
+behind one seam (a compiled simulator drops in here, and every
+estimate module picks it up).
 
 Telemetry: enabled runs emit an ``estimate.run`` span and the
-``estimate_*`` metrics family (runs per backend, references profiled vs
-simulated, sampled coverage/error bound). As everywhere in the
-simulation core, the disabled path is untouched arithmetic.
+``estimate_*`` metrics family (runs per backend, references covered,
+gate fallbacks). As everywhere in the simulation core, the disabled
+path is untouched arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
 from repro.estimate.gate import EstimateGate
 from repro.estimate.options import EstimatorOptions
-from repro.estimate.sampled import SampleReport
 from repro.perf.machine import MachineConfig
 from repro.perf.simulator import MulticoreSimulator, SimulationResult
 from repro.sched.affinity import Mapping
@@ -34,7 +33,7 @@ from repro.telemetry.context import current as telemetry_current
 __all__ = ["BACKENDS", "MappingLike", "as_mapping", "make_exact_simulator", "estimate_mix"]
 
 #: Simulation backends selectable per run spec.
-BACKENDS = ("exact", "analytical", "sampled")
+BACKENDS = ("exact", "analytical")
 
 #: A placement: either a ready :class:`~repro.sched.affinity.Mapping`
 #: or raw per-core groups of task ids awaiting normalisation.
@@ -59,9 +58,8 @@ def make_exact_simulator(
 ) -> MulticoreSimulator:
     """Construct the exact simulator for an estimate-internal run.
 
-    The dispatch seam of RPR503: estimate backends that need exact
-    simulation (the sampled backend's representative intervals, the
-    validation harness's ground truth) call this instead of naming
+    The dispatch seam of RPR503: estimate modules that need exact
+    simulation call this instead of naming
     :class:`~repro.perf.simulator.MulticoreSimulator` themselves.
     """
     return MulticoreSimulator(
@@ -92,12 +90,10 @@ def estimate_mix(
     seed: int = 0,
     options: Optional[EstimatorOptions] = None,
     gate: Optional[EstimateGate] = None,
-) -> Tuple[SimulationResult, Optional[SampleReport]]:
+) -> SimulationResult:
     """Run one mix through the selected backend.
 
-    Returns ``(result, sample_report)`` — the report is ``None`` for
-    the exact and analytical backends (they do not sample). The result
-    type is identical across backends, so downstream consumers
+    The result type is identical across backends, so downstream consumers
     (experiment drivers, the alloc degradation matrix, run-spec
     outcomes) never branch on the backend.
 
@@ -142,25 +138,11 @@ def estimate_mix(
                 batch_accesses=batch_accesses,
                 seed=seed,
             ).run()
-            report = None
-        elif backend == "analytical":
+        else:
             from repro.estimate.analytical import analytical_simulation
 
             result = analytical_simulation(
                 machine, tasks, mapping=mapping, options=options
-            )
-            report = None
-        else:
-            from repro.estimate.sampled import sampled_simulation
-
-            result, report = sampled_simulation(
-                machine,
-                tasks,
-                mapping=mapping,
-                scheduler_config=scheduler_config,
-                batch_accesses=batch_accesses,
-                seed=seed,
-                options=options,
             )
     finally:
         if span is not None:
@@ -180,14 +162,4 @@ def estimate_mix(
             "estimate_refs_total",
             help="full-trace references covered by estimate runs",
         ).inc(total_refs)
-        if report is not None:
-            metrics.gauge(
-                "estimate_sampled_coverage",
-                help="fraction of references exactly simulated (last run)",
-            ).set(report.coverage)
-            if report.error_bound is not None:
-                metrics.gauge(
-                    "estimate_sampled_error_bound",
-                    help="indicative sampling error bound (last run)",
-                ).set(report.error_bound)
-    return result, report
+    return result

@@ -1,9 +1,8 @@
 """Confidence gating for the estimate fast paths.
 
-The analytical and sampled backends trade exactness for speed under an
-*envelope* of assumptions: footprints that fit the modelled cache
-geometry, address streams whose hash images spread across the signature
-filter, and phase behaviour stable enough for representative intervals.
+The analytical backend trades exactness for speed under an *envelope*
+of assumptions: footprints that fit the modelled cache geometry, and
+address streams whose hash images spread across the signature filter.
 An adversarial mix (see :mod:`repro.adversary`) violates exactly those
 assumptions — a signature-aliasing stream keeps its whole footprint on a
 handful of filter indices, and a footprint bomb saturates the filter so
@@ -11,7 +10,7 @@ occupancy stops discriminating.
 
 :class:`EstimateGate` is the degradation valve: attached to
 :func:`repro.estimate.dispatch.estimate_mix`, it inspects the mix
-*before* a fast backend runs and reroutes low-confidence or
+*before* the analytical backend runs and reroutes low-confidence or
 out-of-envelope mixes to the exact engine. Every reroute increments the
 ``estimate_fallback_total`` metric and appends a structured degradation
 event to :attr:`EstimateGate.events` — slow-but-right, never
@@ -46,7 +45,7 @@ def _next_power_of_two(n: int) -> int:
 
 @dataclass
 class EstimateGate:
-    """Pre-flight envelope check for the fast estimate backends.
+    """Pre-flight envelope check for the analytical estimate backend.
 
     Parameters
     ----------

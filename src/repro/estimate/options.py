@@ -1,9 +1,9 @@
-"""Declarative knobs of the fast-path estimator backends.
+"""Declarative knobs of the analytical estimate backend.
 
 An :class:`EstimatorOptions` is pure JSON-native data, carried inside a
 :class:`~repro.jobs.spec.RunSpec` (its ``estimator`` field) so that the
 backend configuration is part of the spec's content address: two runs
-that estimate with different window sizes or sampling denominators must
+that estimate with different profile caps or reuse-bin counts must
 never share a cache entry.
 """
 
@@ -20,7 +20,7 @@ __all__ = ["EstimatorOptions"]
 
 @dataclass(frozen=True)
 class EstimatorOptions:
-    """Configuration shared by the analytical and sampled backends.
+    """Configuration of the analytical backend.
 
     Parameters
     ----------
@@ -28,22 +28,6 @@ class EstimatorOptions:
         Optional cap on the number of references profiled per task
         (``None`` profiles the full trace). A truncated profile is
         recorded as such in the outcome's estimate metadata.
-    window_refs:
-        Phase-detection window size in references (sampled backend).
-    denominator:
-        Sampling denominator: the sampled backend simulates roughly
-        ``1/denominator`` of each phase's windows (1 keeps everything,
-        which degenerates to exact simulation of the stitched trace).
-        Every detected phase always keeps at least one window, so on
-        phase-rich traces the effective coverage floors out well above
-        ``1/denominator`` — cross-validation shows no accuracy loss
-        between 16 and 32 (see ``benchmarks/bench_estimate_accuracy.py``).
-    phase_threshold:
-        Jaccard-distance threshold between consecutive windowed
-        signatures above which a phase boundary is declared.
-    signature_bits:
-        Width of the windowed presence signature used for phase
-        detection (a per-window mini-CBF).
     fixed_point_iterations:
         Iterations of the rate/miss-rate fixed point in the analytical
         co-run composition.
@@ -60,25 +44,14 @@ class EstimatorOptions:
     """
 
     profile_refs: Optional[int] = None
-    window_refs: int = 2048
-    denominator: int = 32
-    phase_threshold: float = 0.5
-    signature_bits: int = 512
     fixed_point_iterations: int = 5
     reuse_bins: int = 512
 
     def __post_init__(self) -> None:
         if self.profile_refs is not None:
             require_positive(self.profile_refs, "profile_refs")
-        require_positive(self.window_refs, "window_refs")
-        require_positive(self.denominator, "denominator")
-        require_positive(self.signature_bits, "signature_bits")
         require_positive(self.fixed_point_iterations, "fixed_point_iterations")
         require_positive(self.reuse_bins, "reuse_bins")
-        if not 0.0 < self.phase_threshold <= 1.0:
-            raise ConfigurationError(
-                f"phase_threshold must be in (0, 1], got {self.phase_threshold}"
-            )
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form (what the run spec embeds and hashes)."""

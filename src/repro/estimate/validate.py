@@ -1,16 +1,15 @@
-"""Cross-validation of the fast-path backends against exact simulation.
+"""Cross-validation of the analytical backend against exact simulation.
 
-The estimate backends are only useful if the *decisions* they drive
+The estimate backend is only useful if the *decisions* it drives
 match the decisions exact simulation would drive. This module measures
 exactly that, per mix of benchmarks:
 
 1. build the pairwise-degradation matrix from each backend (exact via
    :func:`~repro.perf.experiment.pairwise_shared`, analytical via
-   :func:`~repro.estimate.analytical.predicted_pairwise`, sampled via
-   :func:`sampled_pairwise`);
+   :func:`~repro.estimate.analytical.predicted_pairwise`);
 2. feed each matrix to three mapping algorithms (greedy weight-sort
    pairing, exhaustive MIN-CUT, solo-time-weighted MIN-CUT) and record
-   whether the fast backend's choice is *decision-equivalent* to
+   whether the estimate backend's choice is *decision-equivalent* to
    exact's for every algorithm — identical, or costing no more than
    ``tolerance`` extra intra-group interference when priced on the
    **exact** matrix (cache-insensitive mixes tie every mapping; an
@@ -36,16 +35,13 @@ from repro.alloc.mincut import intra_weight, partition_min_cut
 from repro.errors import ConfigurationError
 from repro.estimate.analytical import analytical_simulation, predicted_pairwise
 from repro.estimate.options import EstimatorOptions
-from repro.estimate.sampled import sampled_simulation
 from repro.perf.experiment import PairwiseResult, pairwise_shared
 from repro.perf.machine import MachineConfig
 from repro.perf.runner import DEFAULT_INSTRUCTIONS, build_tasks, run_mix
-from repro.sched.affinity import Mapping
 
 __all__ = [
     "MixValidation",
     "ValidationSummary",
-    "sampled_pairwise",
     "degradation_matrix",
     "candidate_mappings",
     "validate_mixes",
@@ -53,45 +49,6 @@ __all__ = [
 
 #: The mapping algorithms every backend's matrix is pushed through.
 MAPPING_ALGORITHMS = ("greedy", "mincut", "weighted")
-
-
-def sampled_pairwise(
-    machine: MachineConfig,
-    names: Sequence[str],
-    instructions: int = DEFAULT_INSTRUCTIONS,
-    seed: int = 0,
-    options: Optional[EstimatorOptions] = None,
-) -> PairwiseResult:
-    """Sampled-backend stand-in for :func:`~repro.perf.experiment.pairwise_shared`.
-
-    Solo baselines and every pair run through the sampled backend with
-    the same shared-L2 placement (``[[0], [1]]``) as the exact helper,
-    so degradations are sampled-vs-sampled (consistent extrapolation
-    bias cancels in the ratio).
-    """
-    options = options or EstimatorOptions()
-    ordered = sorted(names)
-    solo_times: Dict[str, float] = {}
-    for name in ordered:
-        tasks = build_tasks([name], instructions=instructions, seed=seed)
-        result, _ = sampled_simulation(
-            machine, tasks, seed=seed, options=options
-        )
-        solo_times[name] = result.user_time(name)
-    pair_times: Dict[Tuple[str, str], Dict[str, float]] = {}
-    for a, b in itertools.combinations(ordered, 2):
-        tasks = build_tasks([a, b], instructions=instructions, seed=seed)
-        result, _ = sampled_simulation(
-            machine,
-            tasks,
-            mapping=Mapping.from_groups([[tasks[0].tid], [tasks[1].tid]]),
-            seed=seed,
-            options=options,
-        )
-        pair_times[(a, b)] = {a: result.user_time(a), b: result.user_time(b)}
-    return PairwiseResult(
-        names=tuple(ordered), solo_times=solo_times, pair_times=pair_times
-    )
 
 
 def degradation_matrix(
@@ -267,23 +224,20 @@ def _mix_miss_rate(
     tasks = build_tasks(list(mix), instructions=instructions, seed=seed)
     if backend == "exact":
         return run_mix(machine, tasks, seed=seed).l2_miss_rate
-    if backend == "analytical":
-        return analytical_simulation(machine, tasks, options=options).l2_miss_rate
-    result, _ = sampled_simulation(machine, tasks, seed=seed, options=options)
-    return result.l2_miss_rate
+    return analytical_simulation(machine, tasks, options=options).l2_miss_rate
 
 
 def validate_mixes(
     machine: MachineConfig,
     mixes: Sequence[Sequence[str]],
     *,
-    backends: Sequence[str] = ("analytical", "sampled"),
+    backends: Sequence[str] = ("analytical",),
     instructions: int = DEFAULT_INSTRUCTIONS,
     seed: int = 0,
     tolerance: float = 0.02,
     options: Optional[EstimatorOptions] = None,
 ) -> ValidationSummary:
-    """Cross-validate the fast backends against exact over a mix list.
+    """Cross-validate estimate backends against exact over a mix list.
 
     An algorithm "agrees" on a mix when the backend's mapping is
     identical to exact's, or prices within *tolerance* extra intra-group
@@ -303,11 +257,6 @@ def validate_mixes(
                 )
             elif backend == "analytical":
                 pairwise_cache[key] = predicted_pairwise(
-                    machine, mix, instructions=instructions, seed=seed,
-                    options=options,
-                )
-            elif backend == "sampled":
-                pairwise_cache[key] = sampled_pairwise(
                     machine, mix, instructions=instructions, seed=seed,
                     options=options,
                 )

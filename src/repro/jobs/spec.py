@@ -307,7 +307,7 @@ class RunSpec:
         outcomes never share a cache entry.
     estimator:
         Optional :class:`~repro.estimate.options.EstimatorOptions`
-        kwargs for the estimate backends (``None`` means defaults, and
+        kwargs for the analytical backend (``None`` means defaults, and
         is omitted from the canonical dict). Rejected when
         ``backend="exact"`` — silent no-op knobs would poison cache
         keys.
@@ -348,7 +348,7 @@ class RunSpec:
             if self.backend == "exact":
                 raise ConfigurationError(
                     "estimator options are meaningless on the exact "
-                    "backend; set backend='analytical' or 'sampled'"
+                    "backend; set backend='analytical'"
                 )
             # Validate eagerly: unknown estimator knobs fail at spec
             # construction, not in a worker process.
@@ -751,7 +751,7 @@ def _execute_estimated(spec: RunSpec, machine, scheduler, mapping):
             "workloads; use backend='exact'"
         )
     tasks, _ = _build_native_tasks(spec.workload)
-    result, _report = estimate_mix(
+    return estimate_mix(
         machine,
         tasks,
         backend=spec.backend,
@@ -761,7 +761,6 @@ def _execute_estimated(spec: RunSpec, machine, scheduler, mapping):
         seed=spec.seed,
         options=EstimatorOptions.from_dict(spec.estimator),
     )
-    return result
 
 
 def _build_injector(spec: RunSpec):

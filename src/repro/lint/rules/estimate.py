@@ -5,10 +5,10 @@ interchangeable with it, and that interchangeability hangs on a single
 seam: :func:`repro.estimate.dispatch.make_exact_simulator` is the one
 place inside :mod:`repro.estimate` that may construct the exact
 :class:`~repro.perf.simulator.MulticoreSimulator`. Every other estimate
-module (the sampled backend's representative intervals, the validation
-harness) obtains the engine through that seam, so swapping the exact
-implementation — a compiled kernel, an instrumented variant, a fake in
-tests — is a one-line change the whole package inherits. A direct
+module that needs exact simulation obtains the engine through that
+seam, so swapping the exact implementation — a compiled kernel, an
+instrumented variant, a fake in tests — is a one-line change the whole
+package inherits. A direct
 construction elsewhere silently forks the seam: that call site keeps
 the old engine, its telemetry, and its defaults while the rest of the
 package moves on.

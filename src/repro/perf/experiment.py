@@ -273,7 +273,7 @@ def _measure_mix(
             batch_accesses=batch_accesses,
             scheduler_config=scheduler_config,
         )
-    result, _ = estimate_mix(
+    return estimate_mix(
         machine,
         tasks,
         backend=backend,
@@ -283,7 +283,6 @@ def _measure_mix(
         seed=seed,
         options=EstimatorOptions.from_dict(estimator),
     )
-    return result
 
 
 def run_all_mappings(
@@ -312,7 +311,7 @@ def run_all_mappings(
     returned dict is keyed by the original tid-space mappings either way.
 
     *backend* selects the simulation backend for every measurement
-    (``"exact"``, ``"analytical"`` or ``"sampled"``); *estimator*
+    (``"exact"`` or ``"analytical"``); *estimator*
     optionally carries :class:`~repro.estimate.options.EstimatorOptions`
     kwargs for the estimate backends.
     """

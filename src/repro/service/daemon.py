@@ -329,16 +329,21 @@ class SchedulerService:
         With ``drain=True`` (graceful) the queue is closed to new
         submissions, every already-queued event is processed and its
         future resolved, and only then does the consumer exit. With
-        ``drain=False`` the consumer is cancelled immediately and every
-        still-queued future resolves with a shutdown error (counted as
-        dropped).
+        ``drain=False`` the consumer is cancelled immediately.
+
+        Either way, once the consumer is gone every event still in the
+        queue resolves with a shutdown error (counted as dropped). That
+        includes events from producers that were parked on a full queue
+        when admission closed: each slot freed here wakes one of them,
+        so the queue is emptied until no woken producer refills it.
         """
         if self._task is None:
             return
         self._accepting = False
-        assert self._queue is not None
+        queue = self._queue
+        assert queue is not None
         if drain:
-            await self._queue.put(None)  # sentinel lands after queued work
+            await queue.put(None)  # sentinel lands after queued work
             await self._task
         else:
             self._task.cancel()
@@ -346,8 +351,9 @@ class SchedulerService:
                 await self._task
             except asyncio.CancelledError:
                 pass
-            while not self._queue.empty():
-                item = self._queue.get_nowait()
+        while True:
+            while not queue.empty():
+                item = queue.get_nowait()
                 if item is None:
                     continue
                 _, future = item
@@ -363,6 +369,9 @@ class SchedulerService:
                             "error": "service stopped before processing",
                         }
                     )
+            await asyncio.sleep(0)  # let producers woken above enqueue
+            if queue.empty():
+                break
         if self._heartbeat_board is not None:
             heartbeat.unbind()
         self._task = None

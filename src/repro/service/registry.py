@@ -312,10 +312,6 @@ class ProcessRegistry:
         """Whether *pid* is currently registered."""
         return pid in self._handles
 
-    def live_pids(self) -> List[int]:
-        """Sorted pids of every live process."""
-        return sorted(self._handles)
-
     def handle(self, pid: int) -> ProcessHandle:
         """The handle for *pid* (raises ``ServiceError`` if unknown)."""
         return self._get(pid)

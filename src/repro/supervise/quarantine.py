@@ -70,10 +70,6 @@ class PoisonQuarantine:
                 records[record["key"]] = record
         return records
 
-    def reload(self) -> None:
-        """Re-read the file (another process may have quarantined keys)."""
-        self._records = self._load()
-
     def add(self, key: str, reason: str, failures: int = 0) -> None:
         """Durably quarantine *key* (idempotent; fsynced before return).
 

@@ -172,11 +172,6 @@ class BitVector:
         """Number of set bits (the paper's 'occupancy weight' when on an RBV)."""
         return _popcount_words(self._words)
 
-    def and_popcount(self, other: "BitVector") -> int:
-        """popcount(self & other) without materialising the intermediate."""
-        self._check_same_size(other)
-        return _popcount_words(self._words & other._words)
-
     def xor_popcount(self, other: "BitVector") -> int:
         """popcount(self ^ other) — the paper's symbiosis metric."""
         self._check_same_size(other)

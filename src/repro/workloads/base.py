@@ -161,10 +161,6 @@ class WorkloadProfile:
         """Trace length corresponding to *instructions* executed."""
         return max(1, int(instructions * self.accesses_per_kinstr / 1000.0))
 
-    def instructions_for_accesses(self, accesses: int) -> int:
-        """Instructions corresponding to a trace of *accesses* references."""
-        return max(1, int(accesses * 1000.0 / self.accesses_per_kinstr))
-
     def make_generator(self, base_block: int = 0, seed: int = 0) -> TraceGenerator:
         """Instantiate this profile's trace generator.
 

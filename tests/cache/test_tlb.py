@@ -74,17 +74,12 @@ class TestPageFaultTracker:
         t = PageFaultTracker(page_bytes=4096)
         assert t.touch_addresses(np.array([0, 100, 5000])) == 2
 
-    def test_resident_pages(self):
-        t = PageFaultTracker(resident_limit=3)
-        t.touch_pages(np.array([1, 2, 3, 4]))
-        assert t.resident_pages == 3
-
     def test_reset(self):
         t = PageFaultTracker()
         t.touch_pages(np.array([7]))
         t.reset()
         assert t.faults == 0
-        assert t.resident_pages == 0
+        assert t.touch_pages(np.array([7])) == 1  # page 7 was forgotten
 
     def test_invalid_limit(self):
         with pytest.raises(ValueError):

@@ -78,13 +78,5 @@ class TestSignatureContext:
         with pytest.raises(SignatureError):
             ctx.interference_with_core(5)
 
-    def test_as_tuple_shape(self):
-        # The literal (2+N)-entry structure of Section 3.2.
-        ctx = SignatureContext(4)
-        ctx.update(sample(core=0, occupancy=7, symbiosis=(1, 2, 3, 4)))
-        t = ctx.as_tuple()
-        assert len(t) == 2 + 4
-        assert t[0] == 0 and t[1] == 7.0
-
     def test_repr(self):
         assert "SignatureContext" in repr(SignatureContext(2))

@@ -146,13 +146,6 @@ class TestContextSwitch:
         # No new activity: RBV empty now.
         assert unit.on_context_switch(0).occupancy == 0
 
-    def test_peek_rbv_does_not_snapshot(self):
-        unit = make_unit()
-        unit.record_fill_batch(0, np.array([5]))
-        assert unit.peek_rbv(0).popcount() == 1
-        assert unit.peek_rbv(0).popcount() == 1  # unchanged
-        assert unit.on_context_switch(0).occupancy == 1
-
     def test_switch_counts(self):
         unit = make_unit()
         unit.on_context_switch(0)

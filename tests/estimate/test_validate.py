@@ -62,7 +62,7 @@ class TestValidateMixes:
         summary = validate_mixes(
             core2duo(), mixes, instructions=60_000, seed=0
         )
-        assert summary.backends() == ["analytical", "sampled"]
+        assert summary.backends() == ["analytical"]
         for backend in summary.backends():
             agreed, total = summary.agreement(backend)
             assert total == 1

@@ -70,15 +70,20 @@ class TestBackendInTheContentAddress:
     def test_backends_never_share_a_key(self):
         exact = small_spec()
         analytical = small_spec(backend="analytical")
-        sampled = small_spec(backend="sampled")
-        keys = {spec_key(s) for s in (exact, analytical, sampled)}
-        assert len(keys) == 3
+        assert spec_key(exact) != spec_key(analytical)
 
     def test_estimator_options_enter_the_key(self):
-        a = small_spec(backend="sampled", estimator={"denominator": 8})
-        b = small_spec(backend="sampled", estimator={"denominator": 16})
+        a = small_spec(backend="analytical", estimator={"reuse_bins": 256})
+        b = small_spec(backend="analytical", estimator={"reuse_bins": 512})
         assert spec_key(a) != spec_key(b)
-        assert spec_key(a) != spec_key(small_spec(backend="sampled"))
+        assert spec_key(a) != spec_key(small_spec(backend="analytical"))
+
+    def test_analytical_key_is_pinned(self):
+        """Cached analytical outcomes stay addressable across releases."""
+        spec = small_spec(backend="analytical", estimator={"reuse_bins": 256})
+        assert spec_key(spec) == (
+            "84e88b940d126c591f6235abb971281e383c300a6982ef020d69b149e7c71a49"
+        )
 
     def test_round_trip_preserves_backend_and_key(self):
         spec = small_spec(backend="analytical", estimator={"reuse_bins": 64})
@@ -93,8 +98,33 @@ class TestBackendInTheContentAddress:
 
     def test_estimator_on_exact_backend_rejected(self):
         with pytest.raises(ConfigurationError):
-            small_spec(estimator={"denominator": 8})
+            small_spec(estimator={"reuse_bins": 256})
 
     def test_unknown_estimator_knob_rejected_at_construction(self):
         with pytest.raises(ConfigurationError, match="turbo"):
-            small_spec(backend="sampled", estimator={"turbo": True})
+            small_spec(backend="analytical", estimator={"turbo": True})
+
+
+class TestRetiredNamesFailLoudly:
+    """The sampled backend and its options are gone; naming them is an error."""
+
+    def test_sampled_backend_rejected(self):
+        with pytest.raises(ConfigurationError, match="sampled"):
+            RunSpec(
+                machine=small_spec().machine,
+                workload=small_spec().workload,
+                backend="sampled",
+            )
+
+    def test_sampled_backend_rejected_from_dict(self):
+        d = small_spec(backend="analytical").to_dict()
+        d["backend"] = "sampled"
+        with pytest.raises(ConfigurationError, match="sampled"):
+            RunSpec.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "knob", ["window_refs", "denominator", "phase_threshold", "signature_bits"]
+    )
+    def test_sampled_estimator_options_rejected(self, knob):
+        with pytest.raises(ConfigurationError, match=knob):
+            small_spec(backend="analytical", estimator={knob: 8})

@@ -202,6 +202,43 @@ def test_graceful_stop_drains_queued_events():
     asyncio.run(run())
 
 
+@pytest.mark.parametrize("yields", range(1, 9))
+def test_graceful_stop_answers_submitters_parked_on_a_full_queue(yields):
+    """A producer blocked in ``submit_event`` when stop() begins must
+    still get an answer, even if its event lands behind the sentinel.
+
+    The first yield lets all four producers reach the queue (one event
+    queued, three parked); each further yield lets the consumer free a
+    slot or a woken producer fill it. By the last count all four events
+    are processed before stop() begins.
+    """
+
+    async def run():
+        service = make_service(queue_capacity=1)
+        await service.start()
+        submitters = [
+            asyncio.create_task(
+                service.submit_event(AdmitEvent(pid=pid, name="mcf"))
+            )
+            for pid in (1, 2, 3, 4)
+        ]
+        for _ in range(yields):
+            await asyncio.sleep(0)
+        await service.stop()
+        return service, await asyncio.gather(*submitters)
+
+    service, results = asyncio.run(asyncio.wait_for(run(), timeout=5.0))
+    refused = [r for r in results if not r["ok"]]
+    assert all(
+        r == {"ok": False, "error": "service stopped before processing"}
+        for r in refused
+    )
+    assert results[0]["ok"]
+    assert service.events_processed == len(results) - len(refused)
+    assert service.events_dropped == len(refused)
+    assert not service.running
+
+
 def test_abort_stop_fails_queued_events_as_dropped():
     async def run():
         service = make_service(queue_capacity=8)

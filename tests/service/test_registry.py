@@ -178,9 +178,3 @@ def test_status_payload_is_json_native():
     assert payload["processes"]["1"]["profile"] == "mcf"
     json.dumps(payload)  # must not raise
 
-
-def test_live_pids_sorted():
-    reg = ProcessRegistry(2)
-    for pid in (5, 1, 3):
-        reg.admit(pid, "mcf")
-    assert reg.live_pids() == [1, 3, 5]

@@ -74,15 +74,6 @@ def test_garbled_and_wrong_version_lines_are_counted(tmp_path):
     assert quarantine.corrupt_lines == 3
 
 
-def test_reload_picks_up_another_writer(tmp_path):
-    path = tmp_path / "poison.jsonl"
-    mine = PoisonQuarantine(path)
-    PoisonQuarantine(path).add("theirs", reason="other process")
-    assert "theirs" not in mine
-    mine.reload()
-    assert "theirs" in mine
-
-
 def test_a_failed_write_leaves_the_key_unquarantined(tmp_path, monkeypatch):
     """Memory follows the file: no durable line, no quarantine."""
     quarantine = PoisonQuarantine(tmp_path / "poison.jsonl")

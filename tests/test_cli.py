@@ -19,6 +19,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "99"])
 
+    def test_sweep_backend_choices(self, capsys):
+        args = build_parser().parse_args(["sweep", "--backend", "analytical"])
+        assert args.backend == "analytical"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["sweep", "--backend", "sampled"])
+        assert exc_info.value.code != 0
+        assert "sampled" in capsys.readouterr().err
+
 
 class TestJobsValidation:
     """``--jobs`` must reject zero/negative/non-integer counts loudly."""

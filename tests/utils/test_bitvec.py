@@ -153,11 +153,6 @@ class TestBooleanAlgebra:
         b = BitVector.from_indices(200, [50, 100])
         assert a.xor_popcount(b) == (a ^ b).popcount() == 3
 
-    def test_and_popcount(self):
-        a = BitVector.from_indices(200, [0, 50, 150])
-        b = BitVector.from_indices(200, [50, 150])
-        assert a.and_popcount(b) == 2
-
 
 class TestDunder:
     def test_equality(self):

@@ -25,10 +25,9 @@ class TestWorkloadProfile:
         assert p.working_set_blocks == 16 * 1024 * 1024 // 64
         assert p.hot_set_blocks == p.hot_set_kb * 1024 // 64
 
-    def test_access_instruction_roundtrip(self):
+    def test_accesses_for_instructions(self):
         p = spec_profile("gobmk")  # 5 accesses / kinstr
         assert p.accesses_for_instructions(1_000_000) == 5000
-        assert p.instructions_for_accesses(5000) == 1_000_000
 
     def test_hot_exceeding_ws_rejected(self):
         with pytest.raises(WorkloadError):
